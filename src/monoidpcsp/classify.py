@@ -17,10 +17,12 @@ from .core import (
     is_completely_regular,
     submonoid,
 )
-from .cosets import coset_closure, elem_inverse, generated_subset, is_coset, setprod
+from .cosets import coset_closure, is_coset
 from .errors import ArityMismatch, PromiseViolation, ValidationError
 from .model import Template, is_nf_template
-from .regularize import ab_reg, nf_element, nf_homs_to_finite
+# nf_hom_image and nf_relation_image live beside NFHom and are re-exported here
+from .regularize import ab_reg, homs_into, nf_hom_image, nf_relation_image  # noqa: F401
+from .solver import projected_semilattice_template
 
 
 @dataclass(frozen=True)
@@ -38,82 +40,20 @@ def _require_compatible(relM, relN):
         raise ArityMismatch("template arities differ")
 
 
-def _closure_in_image(N, r, image_elems, rel_tuples):
-    """Coset closure of rel_tuples computed inside the submonoid of N on
-    image_elems.  Returns None when the submonoid is not commutative
-    completely regular, else (A, old_of_new, closure_A, closure_N)."""
-    A, old_of_new, new_of_old = submonoid(N, image_elems)
-    if not (is_commutative(A) and is_completely_regular(A)):
-        return None
-    tuples_A = frozenset(tuple(new_of_old[a] for a in t) for t in rel_tuples)
-    closure_A = coset_closure(CartesianPower(A, r), tuples_A).members
-    closure_N = frozenset(tuple(old_of_new[i] for i in t) for t in closure_A)
-    return A, tuple(old_of_new), closure_A, closure_N
-
-
 def _try_witness(relN, image_elems, rel_image):
     """Tractability test for one candidate hom, given its carrier image and
-    relation image as finite sets over relN's carrier."""
-    got = _closure_in_image(relN.carrier, relN.arity, image_elems, rel_image)
-    if got is None:
+    relation image as finite sets over relN's carrier: the submonoid on the
+    image must be commutative completely regular, and the coset closure of
+    the relation image computed inside it must stay in relN's relation.
+    Returns (sandwich, embedding) or None."""
+    A, old_of_new, new_of_old = submonoid(relN.carrier, image_elems)
+    if not (is_commutative(A) and is_completely_regular(A)):
         return None
-    A, embedding, closure_A, closure_N = got
-    if not closure_N <= relN.relation:
+    tuples_A = frozenset(tuple(new_of_old[a] for a in t) for t in rel_image)
+    closure_A = coset_closure(CartesianPower(A, relN.arity), tuples_A).members
+    if any(tuple(old_of_new[i] for i in t) not in relN.relation for t in closure_A):
         return None
-    sandwich = Template(A, relN.arity, frozenset(closure_A))
-    return sandwich, embedding
-
-
-def nf_hom_image(h):
-    """The (finite) image set of an NFHom inside its target."""
-    NF, F = h.source, h.target
-    out = set()
-    for d in NF.semilattice.elements:
-        gens = []
-        for alpha in sorted(NF.lam[d]):
-            g = h.gen_images[alpha]
-            gens.append(g)
-            gens.append(elem_inverse(F, g))
-        sub = generated_subset(F, gens)
-        phi_d = h.phi_images[d]
-        out.update(F.mul(phi_d, s) for s in sub)
-    return frozenset(out)
-
-
-def nf_relation_image(h, T):
-    """h(R) for an NF template relation, as a finite tuple set over the
-    target: per block, the image of the offset times the subgroup generated
-    by the images of the lattice generators."""
-    NF, F = h.source, h.target
-    r, q = T.arity, NF.num_coords
-    P = CartesianPower(F, r)
-    out = set()
-    for block in T.relation:
-        o = tuple(
-            h(nf_element(NF, block.d_tuple[i],
-                         block.coset.offset[i * q:(i + 1) * q]))
-            for i in range(r))
-        words = []
-        for u in block.coset.lattice.basis:
-            w = tuple(_word_image(h, u[i * q:(i + 1) * q]) for i in range(r))
-            words.append(w)
-            words.append(tuple(elem_inverse(F, a) for a in w))
-        subgroup = generated_subset(P, words)
-        out.update(setprod(P, {o}, subgroup))
-    return frozenset(out)
-
-
-def _word_image(h, exponents):
-    """Image of a pure coordinate word prod alpha^(n_alpha) under an NFHom."""
-    F = h.target
-    acc = F.identity
-    for alpha, n in enumerate(exponents):
-        g = h.gen_images[alpha]
-        if n > 0:
-            acc = F.mul(acc, F.power(g, n))
-        elif n < 0:
-            acc = F.mul(acc, F.power(elem_inverse(F, g), -n))
-    return acc
+    return Template(A, relN.arity, frozenset(closure_A)), tuple(old_of_new)
 
 
 def relation_preserving_homs(relM, relN):
@@ -121,16 +61,10 @@ def relation_preserving_homs(relM, relN):
     in deterministic order, paired with their relation images."""
     _require_compatible(relM, relN)
     out = []
-    if is_nf_template(relM):
-        for h in nf_homs_to_finite(relM.carrier, relN.carrier):
-            image = nf_relation_image(h, relM)
-            if image <= relN.relation:
-                out.append((h, image))
-    else:
-        for h in enumerate_homs(relM.carrier, relN.carrier):
-            image = frozenset(tuple(h(a) for a in t) for t in relM.relation)
-            if image <= relN.relation:
-                out.append((h, image))
+    for h in homs_into(relM.carrier, relN.carrier):
+        image = h.relation_image(relM)
+        if image <= relN.relation:
+            out.append((h, image))
     return out
 
 
@@ -140,17 +74,17 @@ def classify(relM, relN):
     Raises PromiseViolation when relM is finite and admits no relational
     homomorphism into relN.  For normal-form relM with a coset relation, a
     relational homomorphism exists exactly in the tractable case, so the
-    absence of one is reported as NPHard.
+    absence of one is reported as NPHard; a normal-form relM whose projected
+    relation is not a coset raises NotACoset, as the solver does.
     """
+    nf = is_nf_template(relM)
+    if nf:
+        projected_semilattice_template(relM)
     preserving = relation_preserving_homs(relM, relN)
-    if not preserving and not is_nf_template(relM):
+    if not preserving and not nf:
         raise PromiseViolation("no relational homomorphism between the templates")
     for h, rel_image in preserving:
-        if is_nf_template(relM):
-            image_elems = nf_hom_image(h)
-        else:
-            image_elems = h.image_set()
-        got = _try_witness(relN, image_elems, rel_image)
+        got = _try_witness(relN, h.image_set(), rel_image)
         if got is not None:
             sandwich, embedding = got
             return Classification("Tractable", h, sandwich, embedding)
@@ -177,8 +111,7 @@ def classify_via_abreg(relM, relN):
         if not all(tuple(g(c) for c in t) in relN.relation for t in closed):
             continue
         composed = g.compose(quot.projection)
-        rel_image = frozenset(tuple(composed(a) for a in t) for t in relM.relation)
-        got = _try_witness(relN, composed.image_set(), rel_image)
+        got = _try_witness(relN, composed.image_set(), composed.relation_image(relM))
         if got is None:
             continue
         sandwich, embedding = got
@@ -195,15 +128,10 @@ def sandwich_check(c, relM, relN):
     A = c.sandwich.carrier
     new_of_old = {old: new for new, old in enumerate(c.sandwich_embedding)}
     h = c.witness
-    if is_nf_template(relM):
-        rel_image = nf_relation_image(h, relM)
-    else:
-        images = [h(a) for a in relM.carrier.elements]
-        if any(a not in new_of_old for a in images):
-            return False
-        rel_image = frozenset(tuple(h(a) for a in t) for t in relM.relation)
+    if any(a not in new_of_old for a in h.image_set()):
+        return False
     # relM -> A: the witness image of the relation sits in A's relation
-    for t in rel_image:
+    for t in h.relation_image(relM):
         if any(a not in new_of_old for a in t):
             return False
         if tuple(new_of_old[a] for a in t) not in c.sandwich.relation:

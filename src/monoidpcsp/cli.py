@@ -29,7 +29,7 @@ from .model import (
     parse_template,
     serialize_instance,
 )
-from .regularize import NormalFormMonoid, ab_reg
+from .regularize import NFElement, NormalFormMonoid, ab_reg
 from .polymorph import find_block_symmetric, parse_minor_condition, pmc_reduce
 from .solver import finite_template_to_nf, solve_tractable
 
@@ -82,14 +82,17 @@ def cmd_classify(args, out):
     return EXIT_OK
 
 
-def _solve_assignment_rows(out, T, assignment, iso):
-    if iso is None:
-        for i, x in enumerate(assignment):
+def assignment_rows(assignment):
+    """Output fields of an assignment, one row per variable: ``x<i> = a``
+    for a finite element, ``x<i> = d:<d> v:(<v>)`` for a normal-form one."""
+    rows = []
+    for i, x in enumerate(assignment):
+        if isinstance(x, NFElement):
             vec = ",".join(str(a) for a in x.v)
-            out.row(f"x{i}", "=", f"d:{x.d}", f"v:({vec})")
-    else:
-        for i, x in enumerate(assignment):
-            out.row(f"x{i}", "=", iso.decode(x))
+            rows.append((f"x{i}", "=", f"d:{x.d}", f"v:({vec})"))
+        else:
+            rows.append((f"x{i}", "=", x))
+    return rows
 
 
 def cmd_solve(args, out):
@@ -103,7 +106,10 @@ def cmd_solve(args, out):
         out.row("unsat")
         return EXIT_UNSAT
     out.row("sat")
-    _solve_assignment_rows(out, T, assignment, iso)
+    if iso is not None:
+        assignment = [iso.decode(x) for x in assignment]
+    for fields in assignment_rows(assignment):
+        out.row(*fields)
     return EXIT_OK
 
 
@@ -117,8 +123,8 @@ def cmd_oracle(args, out):
         out.row("unsat")
         return EXIT_UNSAT
     out.row("sat")
-    for i, a in enumerate(assignment):
-        out.row(f"x{i}", "=", a)
+    for fields in assignment_rows(assignment):
+        out.row(*fields)
     return EXIT_OK
 
 
@@ -184,7 +190,6 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--format", choices=("human", "tab"), default="human")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--cap-power", dest="cap_power", type=int,
                         default=200_000)
         sp.add_argument("--budget", type=int, default=2_000_000)

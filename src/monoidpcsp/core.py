@@ -15,6 +15,7 @@ from .errors import (
     NotCommutative,
     NotRegular,
     PowerTooLarge,
+    WitnessInvalid,
 )
 
 
@@ -95,7 +96,13 @@ def validate_monoid(table, identity):
 @dataclass(frozen=True)
 class MonoidHom:
     """A monoid homomorphism between two finite monoids, stored as the full
-    image tuple ``images[a] = f(a)``."""
+    image tuple ``images[a] = f(a)``.
+
+    It shares one protocol with :class:`regularize.NFHom`, so callers never
+    ask which kind of hom they hold: ``h(a)``, ``generating_images()``,
+    ``image_set()``, ``relation_image(T)``, ``sort_key``,
+    ``pointwise_product(other)``, ``pointwise_inverse()`` and ``constant()``.
+    """
 
     source: FiniteMonoid
     target: FiniteMonoid
@@ -104,8 +111,37 @@ class MonoidHom:
     def __call__(self, a):
         return self.images[a]
 
+    def generating_images(self):
+        """A finite set whose generated submonoid is the image."""
+        return set(self.images)
+
     def image_set(self):
         return frozenset(self.images)
+
+    def relation_image(self, T):
+        """The image of a finite template's relation, as a tuple set."""
+        return frozenset(tuple(self.images[a] for a in t) for t in T.relation)
+
+    @property
+    def sort_key(self):
+        return self.images
+
+    def pointwise_product(self, other):
+        F = self.target
+        return make_hom(self.source, F,
+                        tuple(F.mul(a, b) for a, b in zip(self.images, other.images)))
+
+    def pointwise_inverse(self):
+        try:
+            return make_hom(self.source, self.target,
+                            tuple(inverse(self.target, a) for a in self.images))
+        except MonoidError as e:
+            raise WitnessInvalid(f"witness inverse is not a homomorphism: {e}") from e
+
+    def constant(self):
+        """The hom sending everything to the target identity."""
+        return make_hom(self.source, self.target,
+                        (self.target.identity,) * self.source.size)
 
     def compose(self, other):
         """Return self o other (other applied first)."""
@@ -186,6 +222,10 @@ def idempotent_constant(M):
             raise MonoidError("no idempotent constant found; table is not a monoid")
 
 
+# The element-level primitives below use only ``mul`` and ``identity``, so
+# they serve a FiniteMonoid and a CartesianPower alike.
+
+
 def d_of(M, a):
     """The unique idempotent power of a."""
     x = a
@@ -195,8 +235,15 @@ def d_of(M, a):
 
 
 def is_regular_element(M, a):
-    """True iff a lies in a subgroup, i.e. a ~ d for some idempotent d."""
-    return any(green_leq(M, a, d) and green_leq(M, d, a) for d in idempotents(M))
+    """True iff a lies in a subgroup, i.e. a = a^(k+1) for some k >= 1."""
+    x = M.mul(a, a)
+    while True:
+        if x == a:
+            return True
+        if M.mul(x, x) == x:
+            # reached the idempotent power d; a is regular iff d*a == a
+            return M.mul(x, a) == a
+        x = M.mul(x, a)
 
 
 def is_completely_regular(M):
@@ -204,10 +251,28 @@ def is_completely_regular(M):
 
 
 def inverse(M, a):
-    """Group inverse of a regular element inside its maximal subgroup."""
+    """Group inverse of a regular element inside its maximal subgroup: the
+    power just below the idempotent power."""
     if not is_regular_element(M, a):
         raise NotRegular(a)
-    return M.power(a, idempotent_constant(M) - 1)
+    x = a
+    prev = None
+    while M.mul(x, x) != x:
+        prev = x
+        x = M.mul(x, a)
+    return a if prev is None else prev
+
+
+def eval_exponents(M, base, gens, vec):
+    """base * prod_alpha gens[alpha]^vec[alpha]; a negative exponent uses the
+    group inverse of its generator."""
+    acc = base
+    for g, n in zip(gens, vec):
+        if n > 0:
+            acc = M.mul(acc, M.power(g, n))
+        elif n < 0:
+            acc = M.mul(acc, M.power(inverse(M, g), -n))
+    return acc
 
 
 def pi_I(M):
@@ -228,19 +293,22 @@ def pi_dagger(M):
 # Submonoids and powers
 
 
-def generated_submonoid(M, members):
-    """Closure of the given elements (plus the identity) under products."""
-    closed = set(members)
-    closed.add(M.identity)
+def generated_subset(M, gens):
+    """The submonoid generated by gens, as a set.  Every element is a
+    left-folded word in the generators, so the frontier is multiplied by the
+    generators only."""
+    gens = list(gens)
+    closed = {M.identity}
+    closed.update(gens)
     frontier = list(closed)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(closed):
-                for c in (M.mul(a, b), M.mul(b, a)):
-                    if c not in closed:
-                        closed.add(c)
-                        nxt.append(c)
+            for g in gens:
+                c = M.mul(a, g)
+                if c not in closed:
+                    closed.add(c)
+                    nxt.append(c)
         frontier = nxt
     return frozenset(closed)
 
@@ -271,7 +339,7 @@ def minimal_generating_set(M):
     """Smallest generating set, searched by increasing size in index order."""
     for k in range(M.size + 1):
         for combo in combinations(M.elements, k):
-            if len(generated_submonoid(M, combo)) == M.size:
+            if len(generated_subset(M, combo)) == M.size:
                 return list(combo)
     raise MonoidError("unreachable: the whole element set generates")
 

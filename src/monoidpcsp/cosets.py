@@ -3,17 +3,22 @@
 Operations here are generic over any monoid-like object exposing
 ``elements``, ``identity``, ``mul`` and ``prod`` (both :class:`FiniteMonoid`
 and :class:`CartesianPower` qualify), so the same code runs inside Cartesian
-powers without materializing their tables.  Cosets are only meaningful in a
-commutative ambient monoid.
+powers without materializing their tables.  The element primitives
+(idempotent power, regularity, inverse, generated submonoid) come from
+:mod:`core`.  Cosets are only meaningful in a commutative ambient monoid.
 """
 
 from dataclasses import dataclass
 
 from .core import (
     CartesianPower,
+    d_of,
+    generated_subset,
     idempotent_constant,
+    inverse,
     is_commutative,
     is_completely_regular,
+    is_regular_element,
     submonoid,
 )
 from .errors import MonoidError, NotCommutative, NotRegular
@@ -23,38 +28,6 @@ def _check_commutative(ops):
     base = ops.base if isinstance(ops, CartesianPower) else ops
     if not is_commutative(base):
         raise NotCommutative("coset operations need a commutative ambient monoid")
-
-
-def elem_idempotent_power(ops, a):
-    """The unique idempotent among the positive powers of a."""
-    x = a
-    while ops.mul(x, x) != x:
-        x = ops.mul(x, a)
-    return x
-
-
-def elem_is_regular(ops, a):
-    """True iff a lies in a subgroup; valid test in a commutative ambient."""
-    x = ops.mul(a, a)
-    while True:
-        if x == a:
-            return True
-        if ops.mul(x, x) == x:
-            # reached the idempotent; a is regular iff d*a == a
-            return ops.mul(x, a) == a
-        x = ops.mul(x, a)
-
-
-def elem_inverse(ops, a):
-    """Group inverse of a regular element (commutative ambient)."""
-    if not elem_is_regular(ops, a):
-        raise NotRegular(a)
-    x = a
-    prev = None
-    while ops.mul(x, x) != x:
-        prev = x
-        x = ops.mul(x, a)
-    return a if prev is None else prev
 
 
 def setprod(ops, U, V):
@@ -72,34 +45,12 @@ def tensor_power(ops, U, n):
 
 
 def inverse_set(ops, U):
-    out = set()
-    for a in U:
-        if not elem_is_regular(ops, a):
-            raise NotRegular(a)
-        out.add(elem_inverse(ops, a))
-    return frozenset(out)
+    return frozenset(inverse(ops, a) for a in U)
 
 
 def dagger_set(ops, U):
     """Elementwise a -> a * d_a."""
-    return frozenset(ops.mul(a, elem_idempotent_power(ops, a)) for a in U)
-
-
-def generated_subset(ops, U):
-    """The submonoid generated by U, as a set."""
-    closed = {ops.identity}
-    closed.update(U)
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(closed):
-                c = ops.mul(a, b)
-                if c not in closed:
-                    closed.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(closed)
+    return frozenset(ops.mul(a, d_of(ops, a)) for a in U)
 
 
 @dataclass(frozen=True)
@@ -138,7 +89,7 @@ def is_coset(ops, U):
     U = frozenset(U)
     if not U:
         return True
-    if not all(elem_is_regular(ops, a) for a in U):
+    if not all(is_regular_element(ops, a) for a in U):
         return False
     return _coset_equation_holds(ops, U)
 
@@ -147,7 +98,7 @@ def all_cosets(M):
     """Every coset of a small commutative monoid, by subset enumeration."""
     _check_commutative(M)
     out = []
-    regular = [a for a in M.elements if elem_is_regular(M, a)]
+    regular = [a for a in M.elements if is_regular_element(M, a)]
     for mask in range(1 << len(regular)):
         U = frozenset(regular[i] for i in range(len(regular)) if mask >> i & 1)
         if _coset_equation_holds(M, U):

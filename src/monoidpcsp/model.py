@@ -67,6 +67,9 @@ class Instance:
 
 
 def make_instance(var_count, constraints):
+    if var_count < 0:
+        raise ValidationError(f"variable count {var_count} is negative")
+
     def check_var(v):
         if not isinstance(v, int) or not 0 <= v < var_count:
             raise ValidationError(f"variable index {v!r} out of range")

@@ -8,17 +8,14 @@ from itertools import product
 
 from .core import (
     CartesianPower,
-    enumerate_homs,
     is_commutative,
     is_completely_regular,
-    make_hom,
     minimal_generating_set,
     submonoid,
 )
-from .cosets import elem_inverse, setprod
+from .cosets import setprod
 from .errors import (
     ArityMismatch,
-    MonoidError,
     NonCommutingImages,
     ParseError,
     SearchCapExceeded,
@@ -33,8 +30,7 @@ from .model import (
     is_nf_template,
     make_instance,
 )
-from .classify import nf_relation_image
-from .regularize import NFHom
+from .regularize import homs_into
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +60,9 @@ class HomPolymorphism:
         return acc
 
 
-def _hom_generating_images(h):
-    """A finite set whose generated submonoid is the image of h."""
-    if isinstance(h, NFHom):
-        gens = set(h.phi_images)
-        for g in h.gen_images:
-            gens.add(g)
-            gens.add(elem_inverse(h.target, g))
-        return gens
-    return set(h.images)
-
-
 def _images_commute(F, h1, h2):
-    for a in _hom_generating_images(h1):
-        for b in _hom_generating_images(h2):
+    for a in h1.generating_images():
+        for b in h2.generating_images():
             if F.mul(a, b) != F.mul(b, a):
                 return False
     return True
@@ -97,31 +82,6 @@ def make_hom_polymorphism(components, check=True):
     return HomPolymorphism(components)
 
 
-def _constant_hom(like):
-    """The hom mapping everything to the target identity, of the same kind as
-    the given component."""
-    F = like.target
-    if isinstance(like, NFHom):
-        NF = like.source
-        return NFHom(NF, F, (F.identity,) * NF.semilattice.size,
-                     (F.identity,) * NF.num_coords)
-    return make_hom(like.source, F, (F.identity,) * like.source.size)
-
-
-def _hom_pointwise_product(h1, h2):
-    F = h1.target
-    if isinstance(h1, NFHom):
-        return NFHom(h1.source, F,
-                     tuple(F.mul(a, b) for a, b in zip(h1.phi_images, h2.phi_images)),
-                     tuple(F.mul(a, b) for a, b in zip(h1.gen_images, h2.gen_images)))
-    return make_hom(h1.source, F,
-                    tuple(F.mul(a, b) for a, b in zip(h1.images, h2.images)))
-
-
-def _hom_key(h):
-    return h.sort_key if isinstance(h, NFHom) else h.images
-
-
 def minor(f, sigma, m=None):
     """The minor f^sigma for sigma: [n] -> [m], given as a length-n tuple of
     indices below m.  Component i of the minor is the product of the f_j with
@@ -139,8 +99,8 @@ def minor(f, sigma, m=None):
         for j in range(n):
             if sigma[j] == i:
                 acc = f.components[j] if acc is None else \
-                    _hom_pointwise_product(acc, f.components[j])
-        out.append(acc if acc is not None else _constant_hom(f.components[0]))
+                    acc.pointwise_product(f.components[j])
+        out.append(acc if acc is not None else f.components[0].constant())
     return make_hom_polymorphism(out)
 
 
@@ -172,13 +132,6 @@ def table_of(f, M):
     return TableMap(f.arity, M, f.target, table)
 
 
-def _component_relation_images(f, relM):
-    if is_nf_template(relM):
-        return [nf_relation_image(h, relM) for h in f.components]
-    return [frozenset(tuple(h(a) for a in t) for t in relM.relation)
-            for h in f.components]
-
-
 def is_polymorphism(f, relM, relN, cap=200_000):
     """True iff f is a polymorphism of the template pair: a homomorphism of
     the carrier power that maps n-fold relation combinations into relN's
@@ -188,7 +141,7 @@ def is_polymorphism(f, relM, relN, cap=200_000):
     N = relN.carrier
     r = relN.arity
     if isinstance(f, HomPolymorphism):
-        images = _component_relation_images(f, relM)
+        images = [h.relation_image(relM) for h in f.components]
         P = CartesianPower(N, r)
         acc = images[0]
         for S in images[1:]:
@@ -217,42 +170,25 @@ def is_polymorphism(f, relM, relN, cap=200_000):
 # 2-block symmetric polymorphisms
 
 
-def _pointwise_inverse_hom(h):
-    F = h.target
-    if isinstance(h, NFHom):
-        return NFHom(h.source, F, h.phi_images,
-                     tuple(elem_inverse(F, g) for g in h.gen_images))
-    try:
-        images = tuple(elem_inverse(F, h(a)) for a in h.source.elements)
-        return make_hom(h.source, F, images)
-    except MonoidError as e:
-        raise WitnessInvalid(f"witness inverse is not a homomorphism: {e}") from e
-
-
 def block_symmetric_from_witness(h, i):
     """Arity-(2i+1) polymorphism with i+1 components h and i components the
     pointwise inverse of h.  Needs a witness with commutative completely
     regular image."""
     if i < 0:
         raise ValidationError("block parameter must be non-negative")
-    if not isinstance(h, NFHom):
-        A, _, _ = submonoid(h.target, h.image_set())
-        if not (is_commutative(A) and is_completely_regular(A)):
-            raise WitnessInvalid("witness image is not commutative regular")
+    A, _, _ = submonoid(h.target, h.image_set())
+    if not (is_commutative(A) and is_completely_regular(A)):
+        raise WitnessInvalid("witness image is not commutative regular")
     if i == 0:
         return make_hom_polymorphism([h])
-    h_inv = _pointwise_inverse_hom(h)
+    h_inv = h.pointwise_inverse()
     return make_hom_polymorphism([h] * (i + 1) + [h_inv] * i)
 
 
 def find_block_symmetric(relM, relN, i, cap=4096):
     """Search for an arity-(2i+1) polymorphism with components constant on
     the two blocks; returns the first hit in lexicographic order or None."""
-    if is_nf_template(relM):
-        from .regularize import nf_homs_to_finite
-        homs = nf_homs_to_finite(relM.carrier, relN.carrier)
-    else:
-        homs = enumerate_homs(relM.carrier, relN.carrier)
+    homs = homs_into(relM.carrier, relN.carrier)
     if len(homs) ** 2 > cap:
         raise SearchCapExceeded("too many homomorphism pairs")
     F = relN.carrier
@@ -270,7 +206,7 @@ def constant_sets(f):
     """Maximal sets of coordinates with equal components, as a partition."""
     groups = {}
     for j, h in enumerate(f.components):
-        groups.setdefault(_hom_key(h), []).append(j)
+        groups.setdefault(h.sort_key, []).append(j)
     return sorted(groups.values())
 
 

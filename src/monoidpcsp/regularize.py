@@ -7,22 +7,25 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
+    CartesianPower,
     FiniteMonoid,
     MonoidHom,
+    d_of,
     enumerate_homs,
-    generated_submonoid,
+    eval_exponents,
+    generated_subset,
     green_leq,
-    idempotent_constant,
     idempotents,
     inverse,
     is_commutative,
     is_completely_regular,
     is_hom_map,
+    is_regular_element,
     is_semilattice,
     make_hom,
     submonoid,
-    d_of,
 )
+from .cosets import setprod
 from .errors import (
     MonoidError,
     NotCommutative,
@@ -302,15 +305,7 @@ class NFIsomorphism:
         return self._encode_table[a]
 
     def decode(self, x):
-        M = self.monoid
-        acc = self.idem_of_new[x.d]
-        for alpha, gen in enumerate(self.generators):
-            n = x.v[alpha]
-            if n > 0:
-                acc = M.mul(acc, M.power(gen, n))
-            elif n < 0:
-                acc = M.mul(acc, M.power(inverse(M, gen), -n))
-        return acc
+        return eval_exponents(self.monoid, self.idem_of_new[x.d], self.generators, x.v)
 
 
 def _element_order_in_group(M, g, unit):
@@ -332,7 +327,7 @@ def to_normal_form(M, generators):
     if not is_completely_regular(M):
         raise NotRegular("normal form needs a completely regular monoid")
     gens = sorted(set(generators))
-    if len(generated_submonoid(M, gens)) != M.size:
+    if len(generated_subset(M, gens)) != M.size:
         raise NotGenerating("the given set does not generate the monoid")
     q = len(gens)
     idem = idempotents(M)
@@ -356,9 +351,7 @@ def to_normal_form(M, generators):
             vec[supp[i]] = m
             kernel_gens.append(vec)
         for expo in product(*(range(m) for m in orders)):
-            val = od
-            for g, n in zip(gs, expo):
-                val = M.mul(val, M.power(g, n))
+            val = eval_exponents(M, od, gs, expo)
             vec = [0] * q
             for i, n in enumerate(expo):
                 vec[supp[i]] = n
@@ -385,7 +378,13 @@ def to_normal_form(M, generators):
 @dataclass(frozen=True)
 class NFHom:
     """Homomorphism from a normal-form monoid into a finite monoid, given by
-    images of the semilattice elements and of the coordinate generators."""
+    images of the semilattice elements and of the coordinate generators.
+
+    It shares one protocol with :class:`core.MonoidHom`, so callers never ask
+    which kind of hom they hold: ``h(x)``, ``generating_images()``,
+    ``image_set()``, ``relation_image(T)``, ``sort_key``,
+    ``pointwise_product(other)``, ``pointwise_inverse()`` and ``constant()``.
+    """
 
     source: NormalFormMonoid
     target: FiniteMonoid
@@ -393,19 +392,90 @@ class NFHom:
     gen_images: tuple   # per coordinate
 
     def __call__(self, x):
-        F = self.target
-        acc = self.phi_images[x.d]
-        for alpha, g in enumerate(self.gen_images):
-            n = x.v[alpha]
-            if n > 0:
-                acc = F.mul(acc, F.power(g, n))
-            elif n < 0:
-                acc = F.mul(acc, F.power(inverse(F, g), -n))
-        return acc
+        return eval_exponents(self.target, self.phi_images[x.d], self.gen_images, x.v)
+
+    def generating_images(self):
+        """A finite set whose generated submonoid is the image."""
+        gens = set(self.phi_images)
+        for g in self.gen_images:
+            gens.add(g)
+            gens.add(inverse(self.target, g))
+        return gens
+
+    def image_set(self):
+        return nf_hom_image(self)
+
+    def relation_image(self, T):
+        return nf_relation_image(self, T)
 
     @property
     def sort_key(self):
         return (self.phi_images, self.gen_images)
+
+    def pointwise_product(self, other):
+        F = self.target
+        return NFHom(self.source, F,
+                     tuple(F.mul(a, b) for a, b in zip(self.phi_images, other.phi_images)),
+                     tuple(F.mul(a, b) for a, b in zip(self.gen_images, other.gen_images)))
+
+    def pointwise_inverse(self):
+        F = self.target
+        return NFHom(self.source, F, self.phi_images,
+                     tuple(inverse(F, g) for g in self.gen_images))
+
+    def constant(self):
+        """The hom sending everything to the target identity."""
+        NF, F = self.source, self.target
+        return NFHom(NF, F, (F.identity,) * NF.semilattice.size,
+                     (F.identity,) * NF.num_coords)
+
+
+def nf_hom_image(h):
+    """The (finite) image set of an NFHom inside its target."""
+    NF, F = h.source, h.target
+    out = set()
+    for d in NF.semilattice.elements:
+        gens = []
+        for alpha in sorted(NF.lam[d]):
+            g = h.gen_images[alpha]
+            gens.append(g)
+            gens.append(inverse(F, g))
+        sub = generated_subset(F, gens)
+        phi_d = h.phi_images[d]
+        out.update(F.mul(phi_d, s) for s in sub)
+    return frozenset(out)
+
+
+def nf_relation_image(h, T):
+    """h(R) for an NF template relation, as a finite tuple set over the
+    target: per block, the image of the offset times the subgroup generated
+    by the images of the lattice generators."""
+    NF, F = h.source, h.target
+    r, q = T.arity, NF.num_coords
+    P = CartesianPower(F, r)
+    out = set()
+    for block in T.relation:
+        o = tuple(
+            h(nf_element(NF, block.d_tuple[i],
+                         block.coset.offset[i * q:(i + 1) * q]))
+            for i in range(r))
+        words = []
+        for u in block.coset.lattice.basis:
+            w = tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
+                      for i in range(r))
+            words.append(w)
+            words.append(tuple(inverse(F, a) for a in w))
+        subgroup = generated_subset(P, words)
+        out.update(setprod(P, {o}, subgroup))
+    return frozenset(out)
+
+
+def homs_into(M, F):
+    """Every homomorphism from a carrier (finite or normal form) into the
+    finite monoid F, in deterministic order."""
+    if isinstance(M, NormalFormMonoid):
+        return nf_homs_to_finite(M, F)
+    return enumerate_homs(M, F)
 
 
 def nf_homs_to_finite(NF, F):
@@ -418,9 +488,7 @@ def nf_homs_to_finite(NF, F):
     """
     N = NF.semilattice
     idem_F = idempotents(F)
-    regular_F = [a for a in F.elements
-                 if any(green_leq(F, a, d) and green_leq(F, d, a) for d in idem_F)]
-    C = idempotent_constant(F)
+    regular_F = [a for a in F.elements if is_regular_element(F, a)]
     out = []
     for phi in enumerate_homs(N, F):
         if not all(phi(d) in idem_F for d in N.elements):
@@ -431,8 +499,7 @@ def nf_homs_to_finite(NF, F):
         candidates = []
         for alpha in range(NF.num_coords):
             want = phis[NF.anchors[alpha]]
-            cand = [g for g in regular_F if F.power(g, C) == want]
-            candidates.append(cand)
+            candidates.append([g for g in regular_F if d_of(F, g) == want])
         for gen_imgs in product(*candidates):
             if not _pairwise_commute(F, gen_imgs, gen_imgs):
                 continue
@@ -449,14 +516,5 @@ def _pairwise_commute(F, xs, ys):
 
 
 def _relators_hold(NF, F, phis, gen_imgs):
-    for d in NF.semilattice.elements:
-        for row in NF.xi[d].basis:
-            acc = phis[d]
-            for alpha, n in enumerate(row):
-                if n > 0:
-                    acc = F.mul(acc, F.power(gen_imgs[alpha], n))
-                elif n < 0:
-                    acc = F.mul(acc, F.power(inverse(F, gen_imgs[alpha]), -n))
-            if acc != phis[d]:
-                return False
-    return True
+    return all(eval_exponents(F, phis[d], gen_imgs, row) == phis[d]
+               for d in NF.semilattice.elements for row in NF.xi[d].basis)

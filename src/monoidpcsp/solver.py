@@ -250,16 +250,3 @@ def finite_template_to_nf(T, generators=None):
         gens_block = [[a - b for a, b in zip(v, offset)] for v in vecs[1:]]
         blocks.append((d_tuple, offset, gens_block))
     return make_nf_template(NF, T.arity, blocks), iso
-
-
-def format_assignment(T, assignment):
-    """Solver output lines: one variable per line."""
-    lines = []
-    if is_nf_template(T):
-        for i, x in enumerate(assignment):
-            vec = ",".join(str(a) for a in x.v)
-            lines.append(f"x{i} = d:{x.d} v:({vec})")
-    else:
-        for i, a in enumerate(assignment):
-            lines.append(f"x{i} = {a}")
-    return "\n".join(lines)

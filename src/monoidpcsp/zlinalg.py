@@ -31,29 +31,6 @@ def mat_vec(A, v):
     return [sum(r[k] * v[k] for k in range(len(v))) for r in A]
 
 
-def det_unimodular(A):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(A)
-    M = [list(r) for r in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1] if n else 1
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -271,10 +248,6 @@ class Lattice:
 
     ambient_dim: int
     basis: tuple
-
-    @property
-    def rank(self):
-        return len(self.basis)
 
 
 def lattice_from_generators(ambient_dim, generators):

@@ -206,7 +206,7 @@ def test_acceptance_5_universal_property(capsys):
     """The commutative regularization satisfies its universal property
     against every commutative regular target of size <= 4, and generator
     images generate the quotient."""
-    from monoidpcsp.core import generated_submonoid, minimal_generating_set
+    from monoidpcsp.core import generated_subset, minimal_generating_set
     targets = commutative_regular_sweep(4, unique=True)
     ok = True
     for M in monoid_sweep(4, unique=True):
@@ -215,7 +215,7 @@ def test_acceptance_5_universal_property(capsys):
             ok = False
         for gens in (minimal_generating_set(M), list(M.elements)):
             images = {q.class_of[g] for g in gens}
-            if generated_submonoid(q.quotient, images) != \
+            if generated_subset(q.quotient, images) != \
                     frozenset(q.quotient.elements):
                 ok = False
     report(5, "regularization universal property", ok, capsys)

@@ -138,7 +138,7 @@ def test_tab_format():
 
 def test_output_is_byte_identical_across_runs():
     args = ["classify", "--lhs", data("intro_M.nf"),
-            "--rhs", data("introN_6.mon"), "--seed", "1"]
+            "--rhs", data("introN_6.mon")]
     assert run(args) == run(args)
 
 
@@ -153,3 +153,22 @@ def test_parse_error_is_input_error(tmp_path):
     bad.write_text("monoid 2 0\n0 1\n")
     code, _ = run(["classify", "--lhs", str(bad), "--rhs", str(bad)])
     assert code == 2
+    # a negative variable count is bad input, not an empty satisfiable instance
+    neg = tmp_path / "neg.inst"
+    neg.write_text("instance -2\n")
+    code, out = run(["solve", "--template", data("trivial.mon"),
+                     "--instance", str(neg)])
+    assert (code, out) == (2, "")
+    # a normal-form relM whose projected relation is not a coset is outside
+    # the theorem for classify as for solve
+    lhs = tmp_path / "nocoset.nf"
+    lhs.write_text("nf\nsemilattice 2 0\n0 1\n1 1\ncoords 0\nrel 2\n"
+                   "block 0\nd 0 1\noffset\nblock 0\nd 1 0\noffset\n")
+    rhs = tmp_path / "chain.mon"
+    rhs.write_text("semilattice:chain:2\nrel 2\ntuple 0 1\ntuple 1 0\n")
+    code, out = run(["classify", "--lhs", str(lhs), "--rhs", str(rhs)])
+    assert (code, out) == (2, "")
+    inst = tmp_path / "one.inst"
+    inst.write_text("instance 2\nREL 0 1\n")
+    code, out = run(["solve", "--template", str(lhs), "--instance", str(inst)])
+    assert (code, out) == (2, "")

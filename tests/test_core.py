@@ -7,7 +7,7 @@ from monoidpcsp.core import (
     direct_product,
     enumerate_homs,
     flipflop1,
-    generated_submonoid,
+    generated_subset,
     green_classes,
     green_leq,
     idempotent_constant,
@@ -136,15 +136,15 @@ def test_pi_dagger_image_is_completely_regular():
 
 def test_generated_submonoid():
     M = cyclic(6)
-    assert generated_submonoid(M, {2}) == frozenset({0, 2, 4})
-    assert generated_submonoid(M, {1}) == frozenset(M.elements)
+    assert generated_subset(M, {2}) == frozenset({0, 2, 4})
+    assert generated_subset(M, {1}) == frozenset(M.elements)
 
 
 def test_minimal_generating_set_generates():
     for M in (cyclic(6), semilattice_chain(3), flipflop1(),
               direct_product(cyclic(2), cyclic(3))):
         gens = minimal_generating_set(M)
-        assert generated_submonoid(M, gens) == frozenset(M.elements)
+        assert generated_subset(M, gens) == frozenset(M.elements)
 
 
 def test_enumerate_homs_counts():

@@ -4,6 +4,8 @@ from monoidpcsp.core import (
     CartesianPower,
     cyclic,
     direct_product,
+    inverse,
+    is_regular_element,
     null_extension,
     semilattice_chain,
 )
@@ -12,8 +14,6 @@ from monoidpcsp.cosets import (
     coset_closure,
     dagger_set,
     dagger_splitting_bound,
-    elem_inverse,
-    elem_is_regular,
     generated_subset,
     inverse_set,
     is_coset,
@@ -36,16 +36,16 @@ def test_elem_inverse_is_a_group_inverse():
     for M in (cyclic(6), semilattice_chain(3),
               direct_product(cyclic(2), semilattice_chain(2))):
         for a in M.elements:
-            b = elem_inverse(M, a)
+            b = inverse(M, a)
             assert M.mul(M.mul(a, b), a) == a
             assert M.mul(M.mul(b, a), b) == b
 
 
 def test_elem_inverse_rejects_irregular():
     M = null_extension()
-    assert not elem_is_regular(M, 1)
+    assert not is_regular_element(M, 1)
     with pytest.raises(NotRegular):
-        elem_inverse(M, 1)
+        inverse(M, 1)
 
 
 def test_inverse_and_dagger_sets():
@@ -71,7 +71,7 @@ def test_closure_is_minimal_coset_brute_force():
             if U:
                 assert coset_closure(M, U).members == U
         import itertools
-        regular = [a for a in M.elements if elem_is_regular(M, a)]
+        regular = [a for a in M.elements if is_regular_element(M, a)]
         for r in (1, 2):
             for U in itertools.combinations(regular, r):
                 closed = coset_closure(M, frozenset(U)).members

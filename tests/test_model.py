@@ -58,6 +58,8 @@ def test_make_instance_rejects_bad_indices():
         make_instance(2, [Product(0, 1, 2)])
     with pytest.raises(ValidationError):
         make_instance(1, [Identity(-1)])
+    with pytest.raises(ValidationError):
+        make_instance(-2, [])
 
 
 def test_make_finite_template_validates_tuples():

@@ -10,6 +10,7 @@ from monoidpcsp.core import (
     minimal_generating_set,
     semilattice_chain,
 )
+from monoidpcsp.cli import assignment_rows
 from monoidpcsp.cosets import coset_closure
 from monoidpcsp.errors import NotACoset, ValidationError
 from monoidpcsp.model import (
@@ -26,7 +27,6 @@ from monoidpcsp.regularize import integers_nf
 from monoidpcsp.solver import (
     SemilatticeTemplate,
     finite_template_to_nf,
-    format_assignment,
     minimal_homomorphism,
     projected_semilattice_template,
     solve_tractable,
@@ -191,10 +191,8 @@ def test_format_assignment_lines():
     T = intro_nf_template()
     I = make_instance(3, [Relation((0, 1, 2))])
     sol = solve_tractable(T, I)
-    lines = format_assignment(T, sol).splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("x0 = d:0 v:(")
+    rows = assignment_rows(sol)
+    assert len(rows) == 3
+    assert " ".join(map(str, rows[0])).startswith("x0 = d:0 v:(")
 
-    M = cyclic(3)
-    TF = make_finite_template(M, 1, [(1,)])
-    assert format_assignment(TF, [1, 2]) == "x0 = 1\nx1 = 2"
+    assert assignment_rows([1, 2]) == [("x0", "=", 1), ("x1", "=", 2)]
