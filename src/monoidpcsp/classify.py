@@ -97,11 +97,7 @@ def classify_via_abreg(relM, relN):
     regularization (with the coset closure of the projected relation)."""
     if is_nf_template(relM):
         raise ValidationError("regularization path needs a finite source template")
-    _require_compatible(relM, relN)
-    has_hom = any(
-        all(tuple(h(a) for a in t) in relN.relation for t in relM.relation)
-        for h in enumerate_homs(relM.carrier, relN.carrier))
-    if not has_hom:
+    if not relation_preserving_homs(relM, relN):
         raise PromiseViolation("no relational homomorphism between the templates")
     quot = ab_reg(relM.carrier)
     Q = quot.quotient

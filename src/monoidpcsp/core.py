@@ -403,44 +403,60 @@ def direct_product(M, N):
 # Homomorphism enumeration
 
 
-def _extend_generator_images(M, N, gens, gen_imgs):
-    """Extend generator images to a full hom image tuple, or return None."""
-    img = {M.identity: N.identity}
-    for g, i in zip(gens, gen_imgs):
-        if img.get(g, i) != i:
-            return None
-        img[g] = i
-    changed = True
-    while changed:
-        changed = False
-        known = list(img.items())
-        for a, fa in known:
-            for b, fb in known:
-                c = M.mul(a, b)
-                fc = N.mul(fa, fb)
-                prev = img.get(c)
-                if prev is None:
-                    img[c] = fc
-                    changed = True
-                elif prev != fc:
-                    return None
-    if len(img) != M.size:
-        return None
-    images = tuple(img[a] for a in M.elements)
-    if not is_hom_map(M, N, images):
-        return None
-    return images
+def _prefix_steps(M, gens):
+    """For each prefix gens[:j+1], the elements it newly reaches, as
+    (element, parent, generator index) found by a BFS on the Cayley graph,
+    and the Cayley edges (a, generator index, a*gens[k]) it newly closes."""
+    reached = {M.identity}
+    order = [M.identity]
+    steps = []
+    for j in range(len(gens)):
+        new, closed = [], []
+        edges = [(a, j) for a in order]
+        for a, k in edges:  # grows as the BFS reaches new elements
+            c = M.mul(a, gens[k])
+            if c in reached:
+                closed.append((a, k, c))
+            else:
+                reached.add(c)
+                new.append((c, a, k))
+                edges.extend((c, i) for i in range(j + 1))
+        order.extend(c for c, _, _ in new)
+        steps.append((new, closed))
+    return steps
 
 
 def enumerate_homs(M, N):
     """All monoid homomorphisms M -> N, ordered lexicographically by their
-    full image tuples."""
-    gens = minimal_generating_set(M)
-    found = set()
-    for gen_imgs in product(N.elements, repeat=len(gens)):
-        images = _extend_generator_images(M, N, gens, gen_imgs)
-        if images is not None:
-            found.add(images)
+    full image tuples.
+
+    Generator images are chosen one at a time.  The elements a generator
+    prefix newly reaches take their images along BFS tree edges, and a
+    branch is cut as soon as a Cayley edge it closes fails
+    img[a*g] == img[a]*img[g].  A map sending the identity to the identity
+    and respecting every Cayley edge respects every product, by induction
+    on word length.
+    """
+    steps = _prefix_steps(M, minimal_generating_set(M))
+    table = N.table
+    img = [None] * M.size
+    img[M.identity] = N.identity
+    gen_imgs = [None] * len(steps)
+    found = []
+
+    def extend(j):
+        if j == len(steps):
+            found.append(tuple(img))
+            return
+        new, closed = steps[j]
+        for v in N.elements:
+            gen_imgs[j] = v
+            for c, a, k in new:
+                img[c] = table[img[a]][gen_imgs[k]]
+            if all(img[c] == table[img[a]][gen_imgs[k]] for a, k, c in closed):
+                extend(j + 1)
+
+    extend(0)
     return [MonoidHom(M, N, images) for images in sorted(found)]
 
 

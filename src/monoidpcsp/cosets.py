@@ -78,10 +78,18 @@ def coset_closure(ops, U):
 
 
 def _coset_equation_holds(ops, U):
-    if not U:
-        return True
-    diffs = setprod(ops, inverse_set(ops, U), U)
-    return setprod(ops, U, diffs) == U
+    """U x (U^-1 x U) <= U for a set U of regular elements, stopping at the
+    first product outside U; the reverse inclusion holds as u*u^-1*u = u."""
+    seen = set()
+    for a in U:
+        a_inv = inverse(ops, a)
+        for b in U:
+            d = ops.mul(a_inv, b)
+            if d not in seen:
+                seen.add(d)
+                if any(ops.mul(u, d) not in U for u in U):
+                    return False
+    return True
 
 
 def is_coset(ops, U):

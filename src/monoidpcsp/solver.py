@@ -230,11 +230,14 @@ def solve_tractable(T, I):
 
 
 def finite_template_to_nf(T, generators=None):
-    """Convert a template over a finite commutative regular monoid into an
-    equivalent normal-form template.  Returns (nf_template, iso)."""
+    """Convert a template over a finite commutative regular monoid whose
+    relation is a coset into an equivalent normal-form template.  Returns
+    (nf_template, iso); a relation that is not a coset raises NotACoset."""
     M = T.carrier
     gens = generators if generators is not None else minimal_generating_set(M)
     iso = to_normal_form(M, gens)
+    if not is_coset(CartesianPower(M, T.arity), T.relation):
+        raise NotACoset("template relation fails the coset equation")
     NF = iso.nf
     q = NF.num_coords
     groups = {}

@@ -77,6 +77,16 @@ def test_oracle():
     assert code == 3
 
 
+def test_solve_rejects_non_coset_finite_template():
+    # introN_6's relation (non-constant triples) is not a coset, so solve
+    # may not answer for its coset closure; the oracle still solves it
+    args = ["--template", data("introN_6.mon"), "--instance", data("intro.inst")]
+    assert run(["solve"] + args) == (2, "")
+    code, out = run(["oracle"] + args)
+    assert code == 0
+    assert out.splitlines()[0] == "sat"
+
+
 def test_oracle_rejects_nf_template():
     code, _ = run(["oracle", "--template", data("intro_M.nf"),
                    "--instance", data("intro.inst")])

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from monoidpcsp.core import (
@@ -35,6 +37,7 @@ from monoidpcsp.errors import (
     NotRegular,
     PowerTooLarge,
 )
+from monoidpcsp.sweep import monoid_sweep
 
 
 def test_validate_accepts_cyclic():
@@ -159,6 +162,26 @@ def test_enumerate_homs_are_homs_and_deterministic():
     assert homs == enumerate_homs(flipflop1(), semilattice_chain(2))
     for h in homs:
         assert is_hom_map(h.source, h.target, h.images)
+
+
+def test_enumerate_homs_matches_brute_force():
+    def brute(M, N):
+        return sorted(images for images in product(N.elements, repeat=M.size)
+                      if is_hom_map(M, N, images))
+
+    trivial = FiniteMonoid(((0,),), 0)
+    assert minimal_generating_set(trivial) == []
+    c2xc2 = direct_product(cyclic(2), cyclic(2))
+    assert len(minimal_generating_set(c2xc2)) == 2
+    sweep = monoid_sweep(3, unique=True)
+    pairs = [(M, N) for M in sweep for N in sweep]
+    pairs += [(M, N) for M in (trivial, flipflop1(), null_extension())
+              for N in sweep + [c2xc2, cyclic(4), semilattice_chain(3)]]
+    pairs += [(M, c2xc2) for M in sweep + [c2xc2]]
+    pairs.append((c2xc2, direct_product(cyclic(2), semilattice_chain(2))))
+    for M, N in pairs:
+        assert [h.images for h in enumerate_homs(M, N)] == brute(M, N), \
+            (M.table, N.table)
 
 
 def test_hom_compose():
