@@ -16,7 +16,6 @@ from .cosets import coset_closure
 from .errors import (
     BudgetExceeded,
     MonoidError,
-    PowerTooLarge,
     PromiseViolation,
     SearchCapExceeded,
     TooLarge,
@@ -31,7 +30,7 @@ from .model import (
 )
 from .regularize import NFElement, NormalFormMonoid, ab_reg
 from .polymorph import find_block_symmetric, parse_minor_condition, pmc_reduce
-from .solver import finite_template_to_nf, solve_tractable
+from .solver import solve_tractable
 
 EXIT_OK = 0
 EXIT_NPHARD = 10
@@ -98,16 +97,11 @@ def assignment_rows(assignment):
 def cmd_solve(args, out):
     T = parse_template(_read(args.template))
     I = parse_instance(_read(args.instance))
-    iso = None
-    if not is_nf_template(T):
-        T, iso = finite_template_to_nf(T)
     assignment = solve_tractable(T, I)
     if assignment is None:
         out.row("unsat")
         return EXIT_UNSAT
     out.row("sat")
-    if iso is not None:
-        assignment = [iso.decode(x) for x in assignment]
     for fields in assignment_rows(assignment):
         out.row(*fields)
     return EXIT_OK
@@ -116,8 +110,6 @@ def cmd_solve(args, out):
 def cmd_oracle(args, out):
     T = parse_template(_read(args.template))
     I = parse_instance(_read(args.instance))
-    if is_nf_template(T):
-        raise MonoidError("the oracle needs a finite carrier")
     assignment = oracle_solve(T, I, budget=args.budget)
     if assignment is None:
         out.row("unsat")
@@ -190,9 +182,6 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--format", choices=("human", "tab"), default="human")
-        sp.add_argument("--cap-power", dest="cap_power", type=int,
-                        default=200_000)
-        sp.add_argument("--budget", type=int, default=2_000_000)
 
     sp = sub.add_parser("classify", help="decide the tractability dichotomy")
     sp.add_argument("--lhs", required=True)
@@ -209,6 +198,7 @@ def build_parser():
     sp = sub.add_parser("oracle", help="brute-force satisfiability check")
     sp.add_argument("--template", required=True)
     sp.add_argument("--instance", required=True)
+    sp.add_argument("--budget", type=int, default=2_000_000)
     common(sp)
     sp.set_defaults(func=cmd_oracle)
 
@@ -223,6 +213,7 @@ def build_parser():
     sp.add_argument("--lhs", required=True)
     sp.add_argument("--rhs", required=True)
     sp.add_argument("--arity", type=int, required=True)
+    sp.add_argument("--budget", type=int, default=2_000_000)
     common(sp)
     sp.set_defaults(func=cmd_polysearch)
 
@@ -234,6 +225,8 @@ def build_parser():
                     help="minor condition file")
     sp.add_argument("--arity", type=int, required=True,
                     help="power exponent of the reduction")
+    sp.add_argument("--cap-power", dest="cap_power", type=int,
+                    default=200_000)
     common(sp)
     sp.set_defaults(func=cmd_pmc_reduce)
 
@@ -254,7 +247,7 @@ def main(argv=None):
     out = _Out(args.format)
     try:
         return args.func(args, out)
-    except (BudgetExceeded, TooLarge, SearchCapExceeded, PowerTooLarge) as e:
+    except (BudgetExceeded, TooLarge, SearchCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except (MonoidError, OSError) as e:

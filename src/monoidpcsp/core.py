@@ -14,7 +14,6 @@ from .errors import (
     NotAssociative,
     NotCommutative,
     NotRegular,
-    PowerTooLarge,
     WitnessInvalid,
 )
 
@@ -344,14 +343,10 @@ def minimal_generating_set(M):
     raise MonoidError("unreachable: the whole element set generates")
 
 
-DEFAULT_POWER_CAP = 10_000
-
-
 class CartesianPower:
     """Coordinatewise monoid structure on n-tuples over a finite monoid.
 
-    The element set is only materialized on demand (`materialize`), subject
-    to a cap; the arithmetic itself never builds the full table.
+    The arithmetic never builds the full table.
     """
 
     def __init__(self, M, n):
@@ -376,16 +371,6 @@ class CartesianPower:
         for x in elems:
             acc = self.mul(acc, x)
         return acc
-
-    def materialize(self, cap=DEFAULT_POWER_CAP):
-        """Full Cayley table of the power, as (monoid, old_of_new, new_of_old)."""
-        count = self.base.size ** self.n
-        if count > cap:
-            raise PowerTooLarge(f"{self.base.size}^{self.n} = {count} exceeds cap {cap}")
-        elems = list(self.elements)
-        index = {t: i for i, t in enumerate(elems)}
-        table = tuple(tuple(index[self.mul(a, b)] for b in elems) for a in elems)
-        return FiniteMonoid(table, index[self.identity]), elems, index
 
 
 def direct_product(M, N):

@@ -32,10 +32,6 @@ class NotGenerating(MonoidError):
     pass
 
 
-class PowerTooLarge(MonoidError):
-    pass
-
-
 class TargetNotRegularCommutative(MonoidError):
     pass
 

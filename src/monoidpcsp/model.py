@@ -4,11 +4,12 @@ translation, and a brute-force satisfiability oracle.
 A template is a carrier monoid (finite, or a normal form with integer
 coordinates) together with a single relation.  Finite relations are tuple
 sets; normal-form relations are finite unions of lattice-coset blocks over
-the concatenated coordinates.
+the concatenated coordinates.  Both kinds of template answer a constraint
+the same way: ``T.carrier.mul(a, b)``, ``T.carrier.identity``, element
+``==`` and ``t in T.relation``.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import FiniteMonoid, monoid_from_keyword, validate_monoid, format_monoid
 from .errors import (
@@ -17,13 +18,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .regularize import (
-    NormalFormMonoid,
-    integers_nf,
-    make_normal_form,
-    nf_eq,
-    nf_mul,
-)
+from .regularize import NormalFormMonoid, integers_nf, make_normal_form
 from .zlinalg import (
     LatticeCoset,
     coset_member,
@@ -102,10 +97,31 @@ class Block:
 
 
 @dataclass(frozen=True)
+class BlockRelation:
+    """A normal-form relation: the union of its blocks.  Iterating yields the
+    blocks; ``in`` tests a tuple of NFElements."""
+
+    blocks: tuple
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __contains__(self, elems):
+        d_tuple = tuple(x.d for x in elems)
+        for block in self.blocks:
+            if block.d_tuple != d_tuple:
+                continue
+            flat = [a for x in elems for a in x.v]
+            if coset_member(flat, block.coset):
+                return True
+        return False
+
+
+@dataclass(frozen=True)
 class Template:
     carrier: object
     arity: int
-    relation: object  # frozenset of tuples, or tuple of Blocks
+    relation: object  # frozenset of tuples, or a BlockRelation
 
 
 def is_nf_template(T):
@@ -169,18 +185,7 @@ def make_nf_template(NF, arity, blocks):
                         raise ValidationError(
                             f"block vector not supported on lam({d}) in slot {i}")
         out.append(_saturate_block(NF, arity, d_tuple, offset, generators))
-    return Template(NF, arity, tuple(out))
-
-
-def block_contains(T, elems):
-    """Membership of a tuple of NFElements in the template relation."""
-    for block in T.relation:
-        if tuple(x.d for x in elems) != block.d_tuple:
-            continue
-        flat = [a for x in elems for a in x.v]
-        if coset_member(flat, block.coset):
-            return True
-    return False
+    return Template(NF, arity, BlockRelation(tuple(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +197,14 @@ def check_assignment(T, I, assignment):
     every constraint of I over the template carrier."""
     if len(assignment) < I.var_count:
         raise ValidationError("assignment is not total")
-    if is_nf_template(T):
-        NF = T.carrier
-        ident = NF.identity
-        for c in I.constraints:
-            if isinstance(c, Product):
-                if not nf_eq(nf_mul(NF, assignment[c.x], assignment[c.y]),
-                             assignment[c.z]):
-                    return False
-            elif isinstance(c, Identity):
-                if not nf_eq(assignment[c.x], ident):
-                    return False
-            else:
-                if len(c.vars) != T.arity:
-                    raise ArityMismatch("relation constraint arity mismatch")
-                if not block_contains(T, [assignment[v] for v in c.vars]):
-                    return False
-        return True
     M = T.carrier
+    ident = M.identity
     for c in I.constraints:
         if isinstance(c, Product):
             if M.mul(assignment[c.x], assignment[c.y]) != assignment[c.z]:
                 return False
         elif isinstance(c, Identity):
-            if assignment[c.x] != M.identity:
+            if assignment[c.x] != ident:
                 return False
         else:
             if len(c.vars) != T.arity:
@@ -374,10 +363,11 @@ def _ints(no, toks):
         raise ParseError(no, f"expected integers, got {toks}")
 
 
-def _parse_finite_monoid(cur):
-    no, toks = cur.take("monoid")
+def _parse_table(cur, keyword):
+    """A Cayley table: a '<keyword> <size> <identity>' header and its rows."""
+    no, toks = cur.take(keyword)
     if len(toks) != 3:
-        raise ParseError(no, "monoid header needs a size and an identity")
+        raise ParseError(no, f"{keyword} header needs a size and an identity")
     size, identity = _ints(no, toks[1:])
     rows = []
     for _ in range(size):
@@ -395,22 +385,8 @@ def _parse_finite_monoid(cur):
 
 def _parse_nf(cur):
     cur.take("nf")
-    no, toks = cur.take("semilattice")
-    if len(toks) != 3:
-        raise ParseError(no, "semilattice header needs a size and an identity")
-    size, identity = _ints(no, toks[1:])
-    rows = []
-    for _ in range(size):
-        rno, rtoks = cur.take()
-        row = _ints(rno, rtoks)
-        if len(row) != size:
-            raise ParseError(rno, f"table row needs {size} entries")
-        rows.append(tuple(row))
-    try:
-        validate_monoid(tuple(rows), identity)
-    except Exception as e:
-        raise ValidationError(str(e)) from e
-    N = FiniteMonoid(tuple(rows), identity)
+    N = _parse_table(cur, "semilattice")
+    size = N.size
     no, toks = cur.take("coords")
     if len(toks) != 2:
         raise ParseError(no, "coords line needs a count")
@@ -455,7 +431,7 @@ def _parse_carrier(cur):
     word = toks[0]
     cur.pos -= 1
     if word == "monoid":
-        return _parse_finite_monoid(cur)
+        return _parse_table(cur, "monoid")
     if word == "nf":
         return _parse_nf(cur)
     cur.pos += 1
@@ -623,8 +599,3 @@ def serialize_template(T):
     for t in sorted(T.relation):
         lines.append("tuple " + " ".join(str(v) for v in t))
     return "\n".join(lines) + "\n"
-
-
-def all_assignments(M, var_count):
-    """Every total assignment, for cross-checking the oracle."""
-    return product(M.elements, repeat=var_count)

@@ -170,7 +170,7 @@ class NormalFormMonoid:
 
     Elements are pairs [d, v] with d a semilattice index and v an integer
     vector over the coordinates, supported on lam[d] and canonical modulo
-    xi[d].
+    xi[d], so ``==`` on :class:`NFElement` is equality in the monoid.
     """
 
     semilattice: FiniteMonoid
@@ -182,6 +182,10 @@ class NormalFormMonoid:
     @property
     def identity(self):
         return NFElement(self, self.semilattice.identity, (0,) * self.num_coords)
+
+    def mul(self, x, y):
+        d = self.semilattice.mul(x.d, y.d)
+        return nf_element(self, d, [a + b for a, b in zip(x.v, y.v)])
 
 
 def semilattice_leq(N, a, b):
@@ -239,19 +243,6 @@ def nf_element(NF, d, v):
         if j not in NF.lam[d] and v[j] != 0:
             raise MonoidError("vector is not supported on lam(d)")
     return NFElement(NF, d, tuple(reduce_mod_lattice(v, NF.xi[d])))
-
-
-def nf_identity(NF):
-    return NF.identity
-
-
-def nf_mul(NF, x, y):
-    d = NF.semilattice.mul(x.d, y.d)
-    return nf_element(NF, d, [a + b for a, b in zip(x.v, y.v)])
-
-
-def nf_eq(x, y):
-    return x.d == y.d and x.v == y.v
 
 
 def nf_power(NF, x, n):

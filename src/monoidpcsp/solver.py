@@ -1,6 +1,6 @@
-"""Polynomial-time solver for instances over a normal-form carrier whose
-relation is a coset: arc-consistency on the idempotent projection, then an
-integer linear system on the coordinate vectors.
+"""Polynomial-time solver for instances over a template whose relation is a
+coset: arc-consistency on the idempotent projection, then an integer linear
+system on the coordinate vectors of the normal form.
 """
 
 from dataclasses import dataclass
@@ -11,6 +11,7 @@ from .errors import ArityMismatch, NotACoset, ValidationError
 from .model import (
     Identity,
     Product,
+    Template,
     check_assignment,
     is_nf_template,
     make_nf_template,
@@ -20,24 +21,18 @@ from .zlinalg import solve_integer
 
 
 # ---------------------------------------------------------------------------
-# Semilattice templates and the minimal homomorphism
-
-
-@dataclass(frozen=True)
-class SemilatticeTemplate:
-    semilattice: object
-    arity: int
-    relation: frozenset
+# The minimal homomorphism into a semilattice template
 
 
 def minimal_homomorphism(TI, I):
     """The pointwise least homomorphism from the instance into the
-    semilattice template, or None when no homomorphism exists.
+    template TI over a finite semilattice, or None when no homomorphism
+    exists.
 
     Arc-consistency prunes per-variable domains to a fixpoint; the least
     homomorphism is the product of each variable's surviving values.
     """
-    N = TI.semilattice
+    N = TI.carrier
     domains = [set(N.elements) for _ in range(I.var_count)]
 
     def prune_product(c):
@@ -88,20 +83,8 @@ def minimal_homomorphism(TI, I):
                 changed |= prune_relation(c)
         if any(not d for d in domains):
             return None
-    h = [None] * I.var_count
-    for x in range(I.var_count):
-        h[x] = N.prod(sorted(domains[x]))
-    for c in I.constraints:
-        if isinstance(c, Product):
-            if N.mul(h[c.x], h[c.y]) != h[c.z]:
-                return None
-        elif isinstance(c, Identity):
-            if h[c.x] != N.identity:
-                return None
-        else:
-            if tuple(h[v] for v in c.vars) not in TI.relation:
-                return None
-    return h
+    h = [N.prod(sorted(domains[x])) for x in range(I.var_count)]
+    return h if check_assignment(TI, I, h) else None
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +175,24 @@ def projected_semilattice_template(T):
     power = CartesianPower(NF.semilattice, T.arity)
     if not is_coset(power, d_tuples):
         raise NotACoset("projected relation fails the coset equation")
-    return SemilatticeTemplate(NF.semilattice, T.arity, d_tuples)
+    return Template(NF.semilattice, T.arity, d_tuples)
 
 
 def solve_tractable(T, I):
-    """Decide and solve an instance over a coset-relation NF template.
+    """Decide and solve an instance over a coset-relation template.
 
-    Returns a satisfying assignment (list of NFElements) or None.
+    A finite template is solved over its normal form
+    (:func:`finite_template_to_nf`) and the answer decoded.  Returns a
+    satisfying assignment over T's carrier (NFElements for a normal-form
+    template) or None.
     """
-    if not is_nf_template(T):
-        raise ValidationError("solve_tractable needs a normal-form carrier")
-    NF = T.carrier
-    TI = projected_semilattice_template(T)
+    NT, iso = (T, None) if is_nf_template(T) else finite_template_to_nf(T)
+    NF = NT.carrier
+    TI = projected_semilattice_template(NT)
     h = minimal_homomorphism(TI, I)
     if h is None:
         return None
-    system = build_sigma(T, I, h)
+    system = build_sigma(NT, I, h)
     if system.missing_block is not None:
         return None
     q = NF.num_coords
@@ -220,6 +205,8 @@ def solve_tractable(T, I):
         x0 = [0] * (I.var_count * q + system.num_multipliers)
     assignment = [nf_element(NF, h[x], x0[x * q:(x + 1) * q])
                   for x in range(I.var_count)]
+    if iso is not None:
+        assignment = [iso.decode(x) for x in assignment]
     if not check_assignment(T, I, assignment):
         raise ValidationError("internal: decoded assignment fails verification")
     return assignment

@@ -296,16 +296,6 @@ def lattice_member(v, L):
     return all(a == 0 for a in w)
 
 
-def lattice_contains(L_outer, L_inner):
-    return all(lattice_member(list(g), L_outer) for g in L_inner.basis)
-
-
-def lattice_sum(L1, L2):
-    if L1.ambient_dim != L2.ambient_dim:
-        raise DimensionMismatch("lattice dimension mismatch")
-    return lattice_from_generators(L1.ambient_dim, list(L1.basis) + list(L2.basis))
-
-
 @dataclass(frozen=True)
 class LatticeCoset:
     offset: tuple

@@ -2,6 +2,8 @@ import io
 import os
 from contextlib import redirect_stdout
 
+import pytest
+
 from monoidpcsp.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -87,10 +89,36 @@ def test_solve_rejects_non_coset_finite_template():
     assert out.splitlines()[0] == "sat"
 
 
-def test_oracle_rejects_nf_template():
+def test_oracle_rejects_nf_template(capsys):
     code, _ = run(["oracle", "--template", data("intro_M.nf"),
                    "--instance", data("intro.inst")])
     assert code == 2
+    assert capsys.readouterr().err == "error: the oracle needs a finite carrier\n"
+
+
+def test_caps_must_be_positive(tmp_path, capsys):
+    code, out = run(["oracle", "--template", data("introN_4.mon"),
+                     "--instance", data("intro.inst"), "--budget", "0"])
+    assert (code, out) == (2, "")
+    cond = tmp_path / "cond.mc"
+    cond.write_text("sym f 2 U\nsym g 1 V\nedge f g 0 0\n")
+    rel = tmp_path / "rel.mon"
+    rel.write_text("cyclic:2\nrel 1\ntuple 1\n")
+    code, out = run(["pmc-reduce", "--lhs", str(rel), "--rhs", str(rel),
+                     "--instance", str(cond), "--arity", "2",
+                     "--cap-power", "0"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.count("error: caps must be positive") == 2
+
+
+def test_cap_options_only_where_read():
+    # --budget belongs to oracle and polysearch, --cap-power to pmc-reduce
+    with pytest.raises(SystemExit):
+        run(["solve", "--template", data("trivial.mon"),
+             "--instance", data("empty.inst"), "--budget", "5"])
+    with pytest.raises(SystemExit):
+        run(["oracle", "--template", data("trivial.mon"),
+             "--instance", data("empty.inst"), "--cap-power", "5"])
 
 
 def test_regularize(tmp_path):

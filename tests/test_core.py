@@ -35,7 +35,6 @@ from monoidpcsp.errors import (
     NoIdentity,
     NotAssociative,
     NotRegular,
-    PowerTooLarge,
 )
 from monoidpcsp.sweep import monoid_sweep
 
@@ -190,14 +189,9 @@ def test_hom_compose():
     assert g.compose(f).images == f.images
 
 
-def test_cartesian_power_materialize():
+def test_cartesian_power_mul():
     P = CartesianPower(cyclic(3), 2)
-    Mp, elems, index = P.materialize(100)
-    assert Mp.size == len(elems) == 9
-    assert Mp.mul(index[(1, 2)], index[(2, 2)]) == index[(0, 1)]
     assert P.mul((1, 2), (2, 2)) == (0, 1)
-    with pytest.raises(PowerTooLarge):
-        CartesianPower(cyclic(10), 8).materialize(100)
 
 
 def test_direct_product():

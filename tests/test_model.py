@@ -5,6 +5,7 @@ import pytest
 
 from monoidpcsp.core import cyclic, semilattice_chain
 from monoidpcsp.errors import (
+    ArityMismatch,
     BudgetExceeded,
     ParseError,
     ValidationError,
@@ -16,8 +17,6 @@ from monoidpcsp.model import (
     Product,
     Relation,
     Template,
-    all_assignments,
-    block_contains,
     check_assignment,
     group_to_monoid,
     is_nf_template,
@@ -74,9 +73,9 @@ def test_nf_template_block_membership():
     T = intro_nf_template()
     Z = T.carrier
     triple = [nf_element(Z, 0, [a]) for a in (4, -1, 1)]  # sum 4 = 1 mod 3
-    assert block_contains(T, triple)
+    assert tuple(triple) in T.relation
     bad = [nf_element(Z, 0, [a]) for a in (1, 1, 1)]  # sum 3 = 0 mod 3
-    assert not block_contains(T, bad)
+    assert tuple(bad) not in T.relation
 
 
 def test_check_assignment_finite():
@@ -87,6 +86,23 @@ def test_check_assignment_finite():
     assert check_assignment(T, I, [3, 2, 0])
     assert not check_assignment(T, I, [1, 2, 1])
     assert not check_assignment(T, I, [2, 2, 0])
+
+
+def test_check_assignment_nf():
+    # the relation holds iff the three integers sum to 1 mod 3
+    T = intro_nf_template()
+    Z = T.carrier
+
+    def z(*ns):
+        return [nf_element(Z, 0, [n]) for n in ns]
+
+    I = make_instance(4, [Product(0, 1, 2), Identity(3), Relation((0, 1, 2))])
+    assert check_assignment(T, I, z(4, -2, 2, 0))
+    assert not check_assignment(T, I, z(4, -2, 5, 0))  # only the Product fails
+    assert not check_assignment(T, I, z(4, -2, 2, 1))  # only the Identity fails
+    assert not check_assignment(T, I, z(1, 2, 3, 0))   # only the Relation fails
+    with pytest.raises(ArityMismatch):
+        check_assignment(T, make_instance(2, [Relation((0, 1))]), z(0, 1))
 
 
 def test_oracle_matches_exhaustive_search():
@@ -111,7 +127,7 @@ def test_oracle_matches_exhaustive_search():
                     cs.append(Relation((rng.randrange(n), rng.randrange(n))))
             I = make_instance(n, cs)
             got = oracle_solve(T, I)
-            brute = next((list(a) for a in all_assignments(M, n)
+            brute = next((list(a) for a in product(M.elements, repeat=n)
                           if check_assignment(T, I, list(a))), None)
             assert (got is None) == (brute is None)
             if got is not None:

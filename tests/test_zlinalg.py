@@ -5,14 +5,11 @@ import pytest
 
 from monoidpcsp.errors import DimensionMismatch
 from monoidpcsp.zlinalg import (
-    Lattice,
     LatticeCoset,
     coset_member,
     hermite_normal_form,
-    lattice_contains,
     lattice_from_generators,
     lattice_member,
-    lattice_sum,
     reduce_mod_lattice,
     smith_normal_form,
     solve_integer,
@@ -172,13 +169,3 @@ def test_coset_member():
     C = LatticeCoset((1, 0), L)
     assert coset_member([3, 2], C)
     assert not coset_member([2, 2], C)
-
-
-def test_lattice_sum_and_contains():
-    A = lattice_from_generators(2, [[2, 0]])
-    B = lattice_from_generators(2, [[0, 2]])
-    S = lattice_sum(A, B)
-    assert lattice_member([2, 2], S)
-    assert lattice_contains(S, A) and lattice_contains(S, B)
-    assert not lattice_contains(A, S)
-    assert isinstance(S, Lattice)
