@@ -197,7 +197,7 @@ def solve_tractable(T, I):
         return None
     q = NF.num_coords
     if system.matrix:
-        solved = solve_integer([list(r) for r in system.matrix], list(system.rhs))
+        solved = solve_integer(system.matrix, system.rhs)
         if solved is None:
             return None
         x0, _ = solved

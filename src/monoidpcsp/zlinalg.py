@@ -25,12 +25,6 @@ def mat_mul(A, B):
             for i in range(rows)]
 
 
-def mat_vec(A, v):
-    if any(len(r) != len(v) for r in A):
-        raise DimensionMismatch("matrix-vector shape mismatch")
-    return [sum(r[k] * v[k] for k in range(len(v))) for r in A]
-
-
 # ---------------------------------------------------------------------------
 # Hermite normal form
 
@@ -80,159 +74,87 @@ def hermite_normal_form(A):
             if H[r][c] < 0:
                 negate(r)
             for i in range(r):
-                if H[i][c] % H[r][c] != 0 or not (0 <= H[i][c] < H[r][c]):
-                    addrow(r, i, -(H[i][c] // H[r][c]))
+                q = H[i][c] // H[r][c]
+                if q:
+                    addrow(r, i, -q)
             r += 1
     return H, U
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith normal form and integer systems, both on the Hermite form
 
 
-def _snf_with_transforms(A):
-    """Return (P, S, Q, U, V) with P*A*Q = S, U = P^-1, V = Q^-1.
-
-    S is diagonal with non-negative entries d1 | d2 | ...
-    """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    S = [list(r) for r in A]
-    P = identity_matrix(rows)
-    Q = identity_matrix(cols)
-    U = identity_matrix(rows)
-    V = identity_matrix(cols)
-
-    def row_add(src, dst, k):
-        S[dst] = [a + k * b for a, b in zip(S[dst], S[src])]
-        P[dst] = [a + k * b for a, b in zip(P[dst], P[src])]
-        for row in U:  # column op: col[src] -= k * col[dst]
-            row[src] -= k * row[dst]
-
-    def row_swap(i, j):
-        S[i], S[j] = S[j], S[i]
-        P[i], P[j] = P[j], P[i]
-        for row in U:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        S[i] = [-a for a in S[i]]
-        P[i] = [-a for a in P[i]]
-        for row in U:
-            row[i] = -row[i]
-
-    def col_add(src, dst, k):
-        # col[dst] += k * col[src]
-        for row in S:
-            row[dst] += k * row[src]
-        for row in Q:
-            row[dst] += k * row[src]
-        V[src] = [a - k * b for a, b in zip(V[src], V[dst])]
-
-    def col_swap(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in Q:
-            row[i], row[j] = row[j], row[i]
-        V[i], V[j] = V[j], V[i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(rows, cols):
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        # clear row and column t
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if S[i][t] != 0:
-                    row_add(t, i, -(S[i][t] // S[t][t]))
-                    if S[i][t] != 0:
-                        row_swap(t, i)
-                    dirty = True
-            for j in range(t + 1, cols):
-                if S[t][j] != 0:
-                    col_add(t, j, -(S[t][j] // S[t][t]))
-                    if S[t][j] != 0:
-                        col_swap(t, j)
-                    dirty = True
-        if S[t][t] < 0:
-            row_neg(t)
-        # enforce divisibility of the remaining block by S[t][t]
-        culprit = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if S[i][j] % S[t][t] != 0:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            row_add(culprit, t, 1)
-            continue
-        t += 1
-    return P, S, Q, U, V
+def _transpose(A):
+    return [list(c) for c in zip(*A)]
 
 
 def smith_normal_form(A):
     """Return (U, S, V) with U, V unimodular, S diagonal with d1 | d2 | ...,
-    and A = U*S*V exactly."""
-    _, S, _, U, V = _snf_with_transforms(A)
-    return U, S, V
+    and A = U*S*V exactly.
+
+    Row and column Hermite forms alternate, keeping P*A*Q = S, until S is
+    diagonal (as in Kannan-Bachem); a pair di, dj with di not dividing dj
+    is merged by adding column j to column i, after which the row form
+    replaces di by gcd(di, dj).  The Hermite form of a unimodular matrix is
+    I, so its transform is the inverse: U = P^-1 and V = Q^-1.
+    """
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    if not cols:
+        return identity_matrix(rows), [list(r) for r in A], []
+    S, P = hermite_normal_form(A)
+    Q = identity_matrix(cols)
+    while True:
+        T, W = hermite_normal_form(_transpose(S))
+        S, Q = _transpose(T), mat_mul(Q, _transpose(W))
+        if not any(S[i][j] for i in range(rows) for j in range(cols) if i != j):
+            diag = [S[i][i] for i in range(min(rows, cols))]
+            pair = next(((i, j) for i, d in enumerate(diag) if d
+                         for j in range(i + 1, len(diag)) if diag[j] % d), None)
+            if pair is None:
+                return hermite_normal_form(P)[1], S, hermite_normal_form(Q)[1]
+            i, j = pair
+            for M in (S, Q):
+                for row in M:
+                    row[i] += row[j]
+        S, W = hermite_normal_form(S)
+        P = mat_mul(W, P)
 
 
 def solve_integer(A, b):
     """Solve A*x = b over the integers.
 
     Returns None when unsolvable, otherwise (x0, kernel) where A*x0 = b and
-    kernel is a basis of {x : A*x = 0}.
+    kernel is a basis of {x : A*x = 0}.  With U*A^T = H in Hermite form,
+    A*U^T = H^T is in column echelon form: forward substitution along the
+    pivot rows of H gives y with H^T*y = b, and x0 = U^T*y.  The rows of U
+    past the rank span the kernel.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
     if len(b) != rows:
         raise DimensionMismatch("right-hand side length mismatch")
-    if rows == 0:
-        return [0] * cols, [unit_vector(cols, j) for j in range(cols)]
-    P, S, Q, _, _ = _snf_with_transforms(A)
-    c = mat_vec(P, b)
-    z = [0] * cols
-    free = []
-    for j in range(cols):
-        d = S[j][j] if j < rows else 0
-        if d == 0:
-            if j < rows and c[j] != 0:
-                return None
-            free.append(j)
-        else:
-            if c[j] % d != 0:
-                return None
-            z[j] = c[j] // d
-    for i in range(min(rows, cols), rows):
-        if c[i] != 0:
+    if any(len(r) != cols for r in A):
+        raise DimensionMismatch("matrix rows have unequal lengths")
+    H, U = hermite_normal_form(_transpose(A))
+    residual = list(b)
+    x0 = [0] * cols
+    rank = 0
+    for h, u in zip(H, U):
+        p = _pivot_col(h)
+        if p is None:
+            break
+        y, rem = divmod(residual[p], h[p])
+        if rem:
             return None
-    x0 = mat_vec(Q, z)
-    kernel = [[Q[i][j] for i in range(cols)] for j in free]
-    return x0, kernel
-
-
-def unit_vector(n, j):
-    v = [0] * n
-    v[j] = 1
-    return v
+        if y:
+            residual = [a - y * c for a, c in zip(residual, h)]
+            x0 = [a + y * c for a, c in zip(x0, u)]
+        rank += 1
+    if any(residual):
+        return None
+    return x0, U[rank:]
 
 
 # ---------------------------------------------------------------------------

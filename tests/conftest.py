@@ -1,0 +1,31 @@
+import signal
+from contextlib import contextmanager
+
+import pytest
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds): ...`` fails the test when the body is still
+    running after that many seconds, so an elimination that never returns
+    fails instead of hanging the suite.  Where the platform has no SIGALRM
+    the body runs without a deadline."""
+
+    @contextmanager
+    def arm(seconds):
+        if not hasattr(signal, "SIGALRM"):
+            yield
+            return
+
+        def expire(signum, frame):
+            pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return arm

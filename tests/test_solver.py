@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import product
 
@@ -23,6 +24,7 @@ from monoidpcsp.model import (
     make_instance,
     make_nf_template,
     oracle_solve,
+    parse_template,
 )
 from monoidpcsp.regularize import integers_nf
 from monoidpcsp.solver import (
@@ -175,6 +177,40 @@ def test_solver_agrees_with_oracle_on_coset_templates():
                     decoded = [iso.decode(x) for x in fast]
                     assert check_assignment(T, I, decoded)
                     assert finite == decoded
+
+
+def planted_intro_instance(rng, n):
+    """A satisfiable instance over intro_M.nf (integers, relation
+    x + y + z = 1 mod 3) on n variables, with its constraints listed in a
+    shuffled order."""
+    values = [rng.randint(-4, 4) for _ in range(n)]
+    pins = rng.sample(range(n), 2)
+    for x in pins:
+        values[x] = 0
+    cs = [Identity(x) for x in pins]
+    while len(cs) < 2 + n:
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if values[x] + values[y] == values[z]:
+            cs.append(Product(x, y, z))
+    while len(cs) < 2 + n + n // 2:
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if (values[x] + values[y] + values[z]) % 3 == 1:
+            cs.append(Relation((x, y, z)))
+    rng.shuffle(cs)
+    return make_instance(n, cs)
+
+
+def test_shuffled_planted_instances_solve(deadline):
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "src", "monoidpcsp", "data", "intro_M.nf")
+    with open(path, encoding="utf-8") as fh:
+        T = parse_template(fh.read())
+    rng = random.Random(29)
+    for _ in range(6):
+        I = planted_intro_instance(rng, rng.randint(24, 40))
+        with deadline(10):
+            sol = solve_tractable(T, I)
+        assert sol is not None and check_assignment(T, I, sol)
 
 
 def test_finite_template_to_nf_preserves_relation():

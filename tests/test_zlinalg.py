@@ -54,12 +54,20 @@ def test_hnf_reconstruction_and_shape():
                 last = nz[0]
 
 
-def test_snf_reconstruction_and_divisibility():
+# A fixed input on which an elimination that pivots on the smallest entry,
+# without reducing the others, never returns.
+SNF_STALL = [[8, 5, -2, -2, -6, 8], [-4, 3, 9, 6, 9, 5], [-9, 9, 6, -8, -6, -3],
+             [-6, 9, 9, 6, -8, 4], [5, 8, 5, -8, 8, -2]]
+
+
+def test_snf_reconstruction_and_divisibility(deadline):
     rng = random.Random(11)
-    for _ in range(100):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        A = random_matrix(rng, rows, cols)
-        U, S, V = smith_normal_form(A)
+    inputs = [SNF_STALL] + [random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+                            for _ in range(100)]
+    for A in inputs:
+        rows, cols = len(A), len(A[0])
+        with deadline(10):
+            U, S, V = smith_normal_form(A)
         assert mat_mul(mat_mul(U, [list(r) for r in S]), V) == A
         assert abs(det(U)) == 1 and abs(det(V)) == 1
         diag = [S[i][i] for i in range(min(rows, cols))]
@@ -111,14 +119,11 @@ def test_solve_integer_against_boxed_brute_force():
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
         A = random_matrix(rng, rows, cols, -5, 5)
         b = [rng.randint(-5, 5) for _ in range(rows)]
-        brute = None
-        for x in product(range(-6, 7), repeat=cols):
-            if all(sum(A[i][j] * x[j] for j in range(cols)) == b[i]
-                   for i in range(rows)):
-                brute = list(x)
-                break
+        boxed = [list(x) for x in product(range(-6, 7), repeat=cols)
+                 if all(sum(A[i][j] * x[j] for j in range(cols)) == b[i]
+                        for i in range(rows))]
         got = solve_integer(A, b)
-        if brute is not None:
+        if boxed:
             assert got is not None
             x0, K = got
             assert all(sum(A[i][j] * x0[j] for j in range(cols)) == b[i]
@@ -126,6 +131,12 @@ def test_solve_integer_against_boxed_brute_force():
             for k in K:
                 assert all(sum(A[i][j] * k[j] for j in range(cols)) == 0
                            for i in range(rows))
+            # the kernel basis spans: every solution is x0 plus a member
+            rank = sum(any(r) for r in hermite_normal_form(A)[0])
+            assert len(K) == cols - rank
+            L = lattice_from_generators(cols, K)
+            assert all(lattice_member([a - c for a, c in zip(x, x0)], L)
+                       for x in boxed)
         elif got is not None:
             # a solution may exist outside the box; verify it is genuine
             x0, _ = got
@@ -137,6 +148,8 @@ def test_solve_integer_against_boxed_brute_force():
 def test_solve_integer_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_integer([[1, 2]], [1, 2])
+    with pytest.raises(DimensionMismatch):
+        solve_integer([[1, 2], [3]], [1, 2])
 
 
 def test_lattice_membership():
