@@ -148,15 +148,14 @@ class MonoidHom:
                          tuple(self.images[other.images[a]] for a in other.source.elements))
 
 
-def make_hom(source, target, images, check=True):
+def make_hom(source, target, images):
     images = tuple(images)
-    if check:
-        if images[source.identity] != target.identity:
-            raise MonoidError("map does not preserve the identity")
-        for a in source.elements:
-            for b in source.elements:
-                if images[source.mul(a, b)] != target.mul(images[a], images[b]):
-                    raise MonoidError(f"map does not preserve the product at ({a}, {b})")
+    if images[source.identity] != target.identity:
+        raise MonoidError("map does not preserve the identity")
+    for a in source.elements:
+        for b in source.elements:
+            if images[source.mul(a, b)] != target.mul(images[a], images[b]):
+                raise MonoidError(f"map does not preserve the product at ({a}, {b})")
     return MonoidHom(source, target, images)
 
 

@@ -1,5 +1,5 @@
-"""Templates, instances, their text formats, the group-to-monoid instance
-translation, and a brute-force satisfiability oracle.
+"""Templates, instances, their text formats, and a brute-force
+satisfiability oracle.
 
 A template is a carrier monoid (finite, or a normal form with integer
 coordinates) together with a single relation.  Finite relations are tuple
@@ -46,13 +46,6 @@ class Identity:
 @dataclass(frozen=True)
 class Relation:
     vars: tuple
-
-
-@dataclass(frozen=True)
-class Inv:
-    """Inverse marker on a variable reference, for group-signature input."""
-
-    var: int
 
 
 @dataclass(frozen=True)
@@ -277,49 +270,6 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
     if n == 0:
         return []
     return list(assignment) if search(0) else None
-
-
-# ---------------------------------------------------------------------------
-# Group signature translation
-
-
-def group_to_monoid(I):
-    """Rewrite an instance whose product constraints may reference inverted
-    variables (Inv markers) into the plain monoid signature.
-
-    Every inverted variable x gets a companion x_ with x_ * x = e = x * x_,
-    enforced through a shared auxiliary identity variable.
-    """
-    inverted = set()
-    for c in I.constraints:
-        if isinstance(c, Product):
-            for ref in (c.x, c.y, c.z):
-                if isinstance(ref, Inv):
-                    inverted.add(ref.var)
-    if not inverted:
-        return Instance(I.var_count, I.constraints)
-    companion = {}
-    next_var = I.var_count
-    for x in sorted(inverted):
-        companion[x] = next_var
-        next_var += 1
-    e_var = next_var
-    next_var += 1
-
-    def resolve(ref):
-        return companion[ref.var] if isinstance(ref, Inv) else ref
-
-    constraints = []
-    for c in I.constraints:
-        if isinstance(c, Product):
-            constraints.append(Product(resolve(c.x), resolve(c.y), resolve(c.z)))
-        else:
-            constraints.append(c)
-    constraints.append(Identity(e_var))
-    for x in sorted(inverted):
-        constraints.append(Product(companion[x], x, e_var))
-        constraints.append(Product(x, companion[x], e_var))
-    return make_instance(next_var, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Polymorphism machinery: componentwise polymorphisms and their minors,
-2-block symmetric polymorphisms, constant/selection sets, minor conditions,
-and the reduction from promise minor conditions to instances.
+2-block symmetric polymorphisms, minor conditions, and the reduction from
+promise minor conditions to instances.
 """
 
 from dataclasses import dataclass
@@ -31,6 +31,9 @@ from .model import (
     make_instance,
 )
 from .regularize import homs_into
+
+# bound on every brute-force search over tables and assignments below
+SEARCH_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +107,6 @@ def minor(f, sigma, m=None):
     return make_hom_polymorphism(out)
 
 
-def unary_minor(f):
-    return minor(f, (0,) * f.arity, 1)
-
-
 # ---------------------------------------------------------------------------
 # Polymorphism checking
 
@@ -126,44 +125,17 @@ class TableMap:
         return self.table[tuple(args)]
 
 
-def table_of(f, M):
-    """Materialize a HomPolymorphism over a finite source as a TableMap."""
-    table = {args: f(args) for args in product(M.elements, repeat=f.arity)}
-    return TableMap(f.arity, M, f.target, table)
-
-
-def is_polymorphism(f, relM, relN, cap=200_000):
-    """True iff f is a polymorphism of the template pair: a homomorphism of
-    the carrier power that maps n-fold relation combinations into relN's
-    relation."""
+def is_polymorphism(f, relM, relN):
+    """True iff the componentwise polymorphism f maps n-fold relation
+    combinations of relM into relN's relation."""
     if relM.arity != relN.arity:
         raise ArityMismatch("template arities differ")
-    N = relN.carrier
-    r = relN.arity
-    if isinstance(f, HomPolymorphism):
-        images = [h.relation_image(relM) for h in f.components]
-        P = CartesianPower(N, r)
-        acc = images[0]
-        for S in images[1:]:
-            acc = setprod(P, acc, S)
-        return acc <= relN.relation
-    # explicit table over a finite source
-    M = f.source
-    n = f.arity
-    if M.size ** (2 * n) > cap or (len(relM.relation) or 1) ** n > cap:
-        raise TooLarge("table polymorphism check exceeds the cap")
-    for a in product(M.elements, repeat=n):
-        for b in product(M.elements, repeat=n):
-            ab = tuple(M.mul(x, y) for x, y in zip(a, b))
-            if f(ab) != N.mul(f(a), f(b)):
-                return False
-    if f((M.identity,) * n) != N.identity:
-        return False
-    for rows in product(relM.relation, repeat=n):
-        image = tuple(f(tuple(row[j] for row in rows)) for j in range(r))
-        if image not in relN.relation:
-            return False
-    return True
+    images = [h.relation_image(relM) for h in f.components]
+    P = CartesianPower(relN.carrier, relN.arity)
+    acc = images[0]
+    for S in images[1:]:
+        acc = setprod(P, acc, S)
+    return acc <= relN.relation
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +172,6 @@ def find_block_symmetric(relM, relN, i, cap=4096):
             if is_polymorphism(f, relM, relN):
                 return f
     return None
-
-
-def constant_sets(f):
-    """Maximal sets of coordinates with equal components, as a partition."""
-    groups = {}
-    for j, h in enumerate(f.components):
-        groups.setdefault(h.sort_key, []).append(j)
-    return sorted(groups.values())
-
-
-def selection_set(f, K):
-    """Coordinates lying in a maximal constant set of size below K."""
-    out = []
-    for block in constant_sets(f):
-        if len(block) < K:
-            out.extend(block)
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +264,33 @@ def _table_minor(f, phi, m, M):
     return TableMap(m, M, f.target, table)
 
 
-def all_table_polymorphisms(relM, relN, arity, cap=200_000):
-    """Every polymorphism M^arity -> N as an explicit table, by brute force."""
+def all_table_polymorphisms(relM, relN, arity):
+    """Every polymorphism M^arity -> N as an explicit table, by brute force:
+    the maps that preserve the identity, the product and the relation."""
     M, N = relM.carrier, relN.carrier
     keys = list(product(M.elements, repeat=arity))
-    if N.size ** len(keys) > cap:
+    if N.size ** len(keys) > SEARCH_CAP:
         raise TooLarge("polymorphism enumeration exceeds the cap")
+    if relM.arity != relN.arity:
+        raise ArityMismatch("template arities differ")
+    if (M.size ** (2 * arity) > SEARCH_CAP
+            or (len(relM.relation) or 1) ** arity > SEARCH_CAP):
+        raise TooLarge("table polymorphism check exceeds the cap")
+    unit = (M.identity,) * arity
     out = []
     for values in product(N.elements, repeat=len(keys)):
-        f = TableMap(arity, M, N, dict(zip(keys, values)))
-        if is_polymorphism(f, relM, relN, cap=cap):
-            out.append(f)
+        t = dict(zip(keys, values))
+        if (t[unit] == N.identity
+                and all(t[tuple(map(M.mul, a, b))] == N.mul(t[a], t[b])
+                        for a, b in product(keys, repeat=2))
+                and all(tuple(t[tuple(row[j] for row in rows)]
+                              for j in range(relN.arity)) in relN.relation
+                        for rows in product(relM.relation, repeat=arity))):
+            out.append(TableMap(arity, M, N, t))
     return out
 
 
-def is_satisfiable_in_pol(cond, relM, relN, cap=200_000):
+def is_satisfiable_in_pol(cond, relM, relN):
     """Exhaustive search for polymorphisms assigned to the symbols so that
     every edge identity holds as a table equality."""
     if is_nf_template(relM):
@@ -332,12 +299,12 @@ def is_satisfiable_in_pol(cond, relM, relN, cap=200_000):
     arity = dict(all_symbols(cond))
     by_arity = {}
     for k in set(arity.values()):
-        by_arity[k] = all_table_polymorphisms(relM, relN, k, cap=cap)
+        by_arity[k] = all_table_polymorphisms(relM, relN, k)
     names = sorted(arity)
     total = 1
     for x in names:
         total *= max(len(by_arity[arity[x]]), 1)
-        if total > cap:
+        if total > SEARCH_CAP:
             raise TooLarge("assignment search exceeds the cap")
 
     def edge_holds(fu, fv, phi):
@@ -411,46 +378,25 @@ def _unit_insertion_generators(M, N_arity, gens):
     return sorted(out)
 
 
-def _word_table(P, U):
-    """Breadth-first canonical words over U for every element of the power P.
-    Returns (element -> word), words as tuples of U-indices."""
-    words = {P.identity: ()}
-    frontier = [P.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for k, u in enumerate(U):
-                b = P.mul(a, u)
-                if b not in words:
-                    words[b] = words[a] + (k,)
-                    nxt.append(b)
-        frontier = nxt
-    return words
-
-
-def _try_extend(P, F, U, f_values):
-    """Extend f: U -> F to a hom on the power P.
-
-    Returns ("hom", val_dict) or ("conflict", (word_s, word_t))."""
-    val = {P.identity: F.identity}
-    word = {P.identity: ()}
-    # the generating set contains the identity tuple; its value must agree
-    frontier = [P.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for k, u in enumerate(U):
-                b = P.mul(a, u)
-                v = F.mul(val[a], f_values[k])
-                w = word[a] + (k,)
-                if b not in val:
-                    val[b] = v
-                    word[b] = w
-                    nxt.append(b)
-                elif val[b] != v:
-                    return "conflict", (w, word[b])
-        frontier = nxt
-    return "hom", val
+def _cayley_walk(P, U):
+    """Breadth-first walk of the power P from its identity by right
+    multiplication with U.  Returns (element -> position) in visiting order,
+    the canonical word over U-indices at each position, and every edge
+    (a, k, b) with b = a * U[k], as positions, in the order it was walked."""
+    elems = [P.identity]
+    pos = {P.identity: 0}
+    words = [()]
+    edges = []
+    for a, x in enumerate(elems):
+        for k, u in enumerate(U):
+            y = P.mul(x, u)
+            b = pos.get(y)
+            if b is None:
+                b = pos[y] = len(elems)
+                elems.append(y)
+                words.append(words[a] + (k,))
+            edges.append((a, k, b))
+    return pos, words, edges
 
 
 def pmc_reduce(cond, relM, relN, N_arity, cap=200_000):
@@ -476,36 +422,40 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=200_000):
     U = _unit_insertion_generators(M, N_arity, minimal_generating_set(M))
     if B.size ** len(U) > cap:
         raise TooLarge("map enumeration exceeds the cap")
-    u_index = {u: k for k, u in enumerate(U)}
+    pos, words, edges = _cayley_walk(P, U)
 
+    # replay the walk for every map f: U -> B.  The first edge whose two
+    # values disagree gives two words for one element of P, which every hom
+    # must send to one value; a map with no such edge extends to a hom.
     conflicts = []      # word pairs from non-extending maps
-    homs = []           # extending maps, as (f_values, val_dict)
+    homs = []           # value lists, by position, of extending maps
     for f_values in product(B.elements, repeat=len(U)):
-        kind, data = _try_extend(P, B, U, list(f_values))
-        if kind == "conflict":
-            if data not in conflicts:
-                conflicts.append(data)
+        val = [B.identity] + [None] * (len(words) - 1)
+        for a, k, b in edges:
+            v = B.table[val[a]][f_values[k]]
+            if val[b] is None:
+                val[b] = v
+            elif val[b] != v:
+                pair = (words[a] + (k,), words[b])
+                if pair not in conflicts:
+                    conflicts.append(pair)
+                break
         else:
-            homs.append((f_values, data))
+            homs.append(val)
 
     # witnesses against homs of the power that are not polymorphisms
-    words = _word_table(P, U)
     rel_rows = sorted(relM.relation)
     if rel_rows and len(rel_rows) ** N_arity > cap:
         raise TooLarge("relation witness search exceeds the cap")
     rel_witnesses = []  # lists of m words, one per relation position
-    for f_values, val in homs:
-        found = None
+    for val in homs:
         for rows in product(rel_rows, repeat=N_arity):
-            image = tuple(val[tuple(row[j] for row in rows)] for j in range(r))
-            if image not in relN.relation:
-                found = rows
+            at = [pos[tuple(row[j] for row in rows)] for j in range(r)]
+            if tuple(val[a] for a in at) not in relN.relation:
+                witness = tuple(words[a] for a in at)
+                if witness not in rel_witnesses:
+                    rel_witnesses.append(witness)
                 break
-        if found is not None:
-            witness = tuple(words[tuple(row[j] for row in found)]
-                            for j in range(r))
-            if witness not in rel_witnesses:
-                rel_witnesses.append(witness)
 
     symbols = sorted(arity)
     var_of = {}

@@ -289,7 +289,6 @@ class NFIsomorphism:
     nf: NormalFormMonoid
     generators: tuple            # coordinate alpha -> generator element of M
     idem_of_new: tuple           # semilattice index -> idempotent element of M
-    new_of_idem: dict
     _encode_table: tuple
 
     def encode(self, a):
@@ -358,8 +357,7 @@ def to_normal_form(M, generators):
     for a in M.elements:
         d_new, vec = encode_of[a]
         encode_table.append(nf_element(NF, d_new, vec))
-    return NFIsomorphism(M, NF, tuple(gens), tuple(idem_of_new), new_of_idem,
-                         tuple(encode_table))
+    return NFIsomorphism(M, NF, tuple(gens), tuple(idem_of_new), tuple(encode_table))
 
 
 # ---------------------------------------------------------------------------

@@ -216,13 +216,12 @@ def solve_tractable(T, I):
 # Finite template conversion
 
 
-def finite_template_to_nf(T, generators=None):
+def finite_template_to_nf(T):
     """Convert a template over a finite commutative regular monoid whose
     relation is a coset into an equivalent normal-form template.  Returns
     (nf_template, iso); a relation that is not a coset raises NotACoset."""
     M = T.carrier
-    gens = generators if generators is not None else minimal_generating_set(M)
-    iso = to_normal_form(M, gens)
+    iso = to_normal_form(M, minimal_generating_set(M))
     if not is_coset(CartesianPower(M, T.arity), T.relation):
         raise NotACoset("template relation fails the coset equation")
     NF = iso.nf

@@ -205,17 +205,7 @@ def reduce_mod_lattice(v, L):
 
 
 def lattice_member(v, L):
-    if len(v) != L.ambient_dim:
-        raise DimensionMismatch("vector has wrong length")
-    w = list(v)
-    for row in L.basis:
-        p = _pivot_col(row)
-        if w[p] % row[p] != 0:
-            return False
-        q = w[p] // row[p]
-        if q:
-            w = [a - q * b for a, b in zip(w, row)]
-    return all(a == 0 for a in w)
+    return not any(reduce_mod_lattice(v, L))
 
 
 @dataclass(frozen=True)

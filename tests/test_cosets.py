@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from monoidpcsp.core import (
@@ -23,6 +25,7 @@ from monoidpcsp.cosets import (
     verify_dagger_splitting,
 )
 from monoidpcsp.errors import NotCommutative, NotRegular
+from monoidpcsp.sweep import commutative_sweep
 
 
 def test_setprod_and_tensor_power():
@@ -63,17 +66,18 @@ def test_generated_subset_is_closed():
 
 
 def test_closure_is_minimal_coset_brute_force():
-    """[U] is the smallest coset containing U, against subset enumeration."""
-    for M in (cyclic(4), semilattice_chain(3),
-              direct_product(semilattice_chain(2), cyclic(2))):
+    """[U] is the smallest coset containing U, against subset enumeration,
+    for every non-empty set U of regular elements of each monoid."""
+    monoids = [cyclic(4), semilattice_chain(3),
+               direct_product(semilattice_chain(2), cyclic(2))]
+    for M in monoids + commutative_sweep(4, unique=True):
         cosets = all_cosets(M)
         for U in cosets:
             if U:
                 assert coset_closure(M, U).members == U
-        import itertools
         regular = [a for a in M.elements if is_regular_element(M, a)]
-        for r in (1, 2):
-            for U in itertools.combinations(regular, r):
+        for r in range(1, len(regular) + 1):
+            for U in combinations(regular, r):
                 closed = coset_closure(M, frozenset(U)).members
                 smallest = min(
                     (C for C in cosets if C and frozenset(U) <= C),

@@ -35,10 +35,14 @@ WRITTEN = {
     "trivial.mc": "sym f 2 U\nsym g 1 V\nedge f g 0 0\n",
     "swap.mc": "sym f 2 U\nsym g 2 V\nedge f g 1 0\n",
     "one.inst": "instance 4\nREL 0 1 2\nMUL 0 1 3\n",
+    "ff.mon": "flipflop1\nrel 1\ntuple 1\n",
+    "chain.mon": "semilattice:chain:3\nrel 2\ntuple 0 1\ntuple 2 2\n",
+    "cycle.mc": "sym f 3 U\nsym g 3 V\nedge f g 1 2 0\n",
 }
 PMC = [("trivial.mc", "introN_2.mon", 2), ("swap.mc", "introN_2.mon", 2),
        ("trivial.mc", "introN_3.mon", 2), ("trivial.mc", "trivial.mon", 2),
-       ("trivial.mc", "intro_M.nf", 2)]
+       ("trivial.mc", "intro_M.nf", 2), ("swap.mc", "ff.mon", 2),
+       ("swap.mc", "chain.mon", 2), ("cycle.mc", "introN_3.mon", 3)]
 
 
 def operations():

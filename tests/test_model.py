@@ -12,13 +12,9 @@ from monoidpcsp.errors import (
 )
 from monoidpcsp.model import (
     Identity,
-    Instance,
-    Inv,
     Product,
     Relation,
-    Template,
     check_assignment,
-    group_to_monoid,
     is_nf_template,
     make_finite_template,
     make_instance,
@@ -147,23 +143,6 @@ def test_intro_instance_satisfiable_over_cyclic():
     for n in range(2, 7):
         T = make_finite_template(cyclic(n), 3, nonconstant_triples(n))
         assert oracle_solve(T, I) is not None
-
-
-def test_group_to_monoid_translation():
-    # x * y^-1 = z with z forced to the identity: solutions have x = y
-    raw = Instance(3, (Product(0, Inv(1), 2), Identity(2)))
-    translated = group_to_monoid(raw)
-    assert translated.var_count == 5  # companion for 1, plus the shared e
-    M = cyclic(3)
-    T = Template(M, 1, frozenset({(a,) for a in M.elements}))
-    sol = oracle_solve(T, translated)
-    assert sol is not None
-    assert sol[0] == sol[1]
-
-
-def test_group_to_monoid_without_inverses_is_unchanged():
-    I = make_instance(2, [Product(0, 1, 0)])
-    assert group_to_monoid(I) == I
 
 
 def test_parse_serialize_finite_template_round_trip():

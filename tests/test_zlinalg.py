@@ -158,6 +158,11 @@ def test_lattice_membership():
     assert lattice_member([1, 1, 1], L)
     assert not lattice_member([1, 0, 0], L)
     assert lattice_member([0, 0, 0], L)
+    # rank 1 in Z^3: pivot in column 0 only
+    K = lattice_from_generators(3, [[2, 1, 0]])
+    assert lattice_member([4, 2, 0], K)
+    assert not lattice_member([3, 1, 0], K)  # the pivot does not divide
+    assert not lattice_member([4, 2, 1], K)  # pivot divides, column 2 is left
 
 
 def test_reduce_mod_lattice_is_canonical():
