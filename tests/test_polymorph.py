@@ -87,6 +87,20 @@ def test_minor_agrees_with_argument_duplication():
             assert g((a,)) == f((a, a))
 
 
+def test_unary_minor_is_component_product():
+    """Collapsing every coordinate of a hom polymorphism gives the product
+    of its components, and the result is again a hom polymorphism."""
+    M = cyclic(6)
+    h1 = make_hom(M, M, tuple(M.mul(a, a) for a in M.elements))
+    ident = make_hom(M, M, tuple(M.elements))
+    f = make_hom_polymorphism([h1, ident, h1])
+    u = minor(f, (0,) * f.arity, 1)
+    assert u.arity == 1
+    for a in M.elements:
+        assert u((a,)) == M.mul(M.mul(h1(a), a), h1(a))
+        assert u((a,)) == f((a, a, a))
+
+
 def test_projection_is_polymorphism():
     T = make_finite_template(cyclic(3), 3, nonconstant_triples(3))
     for h, in [(h,) for h in enumerate_homs(cyclic(3), cyclic(3))]:
