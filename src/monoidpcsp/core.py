@@ -14,6 +14,7 @@ from .errors import (
     NotAssociative,
     NotCommutative,
     NotRegular,
+    TooLarge,
     WitnessInvalid,
 )
 
@@ -292,12 +293,16 @@ def pi_dagger(M):
 
 
 def generated_subset(M, gens):
-    """The submonoid generated by gens, as a set.  Every element is a
-    left-folded word in the generators, so the frontier is multiplied by the
-    generators only."""
+    """The submonoid generated by gens, as a set."""
+    return closed_under(M, (M.identity,), gens)
+
+
+def closed_under(M, start, gens):
+    """The least superset of start closed under right multiplication by each
+    of gens.  Every element is a member of start times a left-folded word in
+    the generators, so the frontier is multiplied by the generators only."""
     gens = list(gens)
-    closed = {M.identity}
-    closed.update(gens)
+    closed = set(start)
     frontier = list(closed)
     while frontier:
         nxt = []
@@ -478,14 +483,26 @@ def null_extension():
     return FiniteMonoid(table, 0)
 
 
+# cyclic:k and semilattice:chain:k build a k x k table from a few bytes of
+# input, so k is bounded; cyclic(1024) builds in about 0.2 s.
+MAX_KEYWORD_ORDER = 1024
+
+
 def monoid_from_keyword(word):
     if word == "flipflop1":
         return flipflop1()
     if word.startswith("cyclic:"):
-        return cyclic(int(word.split(":")[1]))
+        return cyclic(_keyword_order(word, 1))
     if word.startswith("semilattice:chain:"):
-        return semilattice_chain(int(word.split(":")[2]))
+        return semilattice_chain(_keyword_order(word, 2))
     raise MonoidError(f"unknown monoid keyword {word!r}")
+
+
+def _keyword_order(word, field):
+    k = int(word.split(":")[field])
+    if k > MAX_KEYWORD_ORDER:
+        raise TooLarge(f"carrier {word!r} has more than {MAX_KEYWORD_ORDER} elements")
+    return k
 
 
 def format_monoid(M):

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from .core import (
     CartesianPower,
+    closed_under,
     d_of,
-    generated_subset,
+    generated_subset,  # re-exported for callers of this module
     idempotent_constant,
     inverse,
     is_commutative,
@@ -64,17 +65,66 @@ class CosetData:
 def coset_closure(ops, U):
     """The coset [U] = U x <U^-1 x U> generated by a regular set U.
 
+    Neither U^-1 x U nor U x <U^-1 x U> is formed as a set product.  Write
+    e_u = u * u^-1 for the idempotent of u's group, and fix one member r_e
+    of U for each idempotent e that occurs.  For u, v in U with e = e_u and
+    f = e_v, commutativity gives
+
+        (u^-1 r_e)(r_e^-1 r_f)(r_f^-1 v) = u^-1 (r_e r_e^-1)(r_f r_f^-1) v
+                                         = u^-1 e f v = u^-1 v,
+
+    as e is the identity of u^-1's group and f that of v's.  Each factor is
+    itself a difference, as r_e and r_f lie in U, so the about 2|U|
+    candidates of :func:`_difference_candidates` generate the same submonoid
+    S as U^-1 x U.  Those that lie outside the submonoid built so far are
+    kept as its generators (a few in practice), and the closure is U closed
+    under multiplication by the kept generators.
+
+    The result C is checked before it is returned: C*g lies in C for every
+    kept generator g, so C x S <= C; and every candidate recomputed from C
+    lies in S, so C^-1 x C <= S by the same factorization.  Together they
+    give the coset equation C x (C^-1 x C) <= C.
+
     The empty set is treated as a degenerate coset with [{}] = {}.
     """
     _check_commutative(ops)
     U = frozenset(U)
     if not U:
         return CosetData(ops, U)
-    diffs = setprod(ops, inverse_set(ops, U), U)
-    closure = setprod(ops, U, generated_subset(ops, diffs))
-    if not _coset_equation_holds(ops, closure):
+    gens, S = _difference_monoid(ops, U)
+    closure = closed_under(ops, U, gens)
+    if not (all(ops.mul(c, g) in closure for c in closure for g in gens)
+            and all(d in S for d in _difference_candidates(ops, closure))):
         raise MonoidError("internal: closure fails the coset equation")
     return CosetData(ops, closure)
+
+
+def _difference_candidates(ops, U):
+    """u^-1 r_e and r_e^-1 u for each u in U, and r_e^-1 r_f for each pair
+    of representatives, where r_e is the first member of U met whose
+    idempotent u * u^-1 is e.  Raises NotRegular for an irregular member."""
+    inv = {u: inverse(ops, u) for u in U}
+    rep = {}
+    for u in U:
+        r = rep.setdefault(ops.mul(u, inv[u]), u)
+        yield ops.mul(inv[u], r)
+        yield ops.mul(inv[r], u)
+    for r in rep.values():
+        for s in rep.values():
+            yield ops.mul(inv[r], s)
+
+
+def _difference_monoid(ops, U):
+    """(gens, S): the candidates that lie outside the submonoid generated by
+    the ones kept before them, and the submonoid S = <U^-1 x U> they
+    generate.  In a commutative monoid <S, d> = S x <d>, so S grows by
+    closing it under d alone."""
+    gens, S = [], frozenset((ops.identity,))
+    for d in _difference_candidates(ops, U):
+        if d not in S:
+            gens.append(d)
+            S = closed_under(ops, S, (d,))
+    return gens, S
 
 
 def _coset_equation_holds(ops, U):

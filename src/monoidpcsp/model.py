@@ -16,6 +16,7 @@ from .errors import (
     ArityMismatch,
     BudgetExceeded,
     ParseError,
+    TooLarge,
     ValidationError,
 )
 from .regularize import NormalFormMonoid, integers_nf, make_normal_form
@@ -389,6 +390,8 @@ def _parse_carrier(cur):
         return integers_nf()
     try:
         return monoid_from_keyword(word)
+    except TooLarge as e:
+        raise ParseError(no, str(e)) from e
     except Exception as e:
         raise ParseError(no, f"unknown carrier {word!r}") from e
 

@@ -167,6 +167,18 @@ def test_coset_closure(tmp_path):
     assert "tuple 0" in lines
 
 
+def test_keyword_carrier_order_is_bounded(tmp_path, deadline):
+    """cyclic:k and semilattice:chain:k build a k x k table from a few bytes,
+    so an order above 1024 is bad input, refused before any table is built."""
+    rel = tmp_path / "big.mon"
+    for word in ("cyclic:100000", "semilattice:chain:1025"):
+        rel.write_text(f"{word}\nrel 1\ntuple 1\n")
+        with deadline(5):
+            assert run(["coset-closure", "--template", str(rel)]) == (2, "")
+    rel.write_text("cyclic:1024\nrel 1\ntuple 1\n")
+    assert run(["coset-closure", "--template", str(rel)]) == (0, "size 1\ntuple 1\n")
+
+
 def test_tab_format():
     code, out = run(["classify", "--lhs", data("intro_M.nf"),
                      "--rhs", data("introN_6.mon"), "--format", "tab"])

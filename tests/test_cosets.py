@@ -1,3 +1,5 @@
+import os
+import random
 from itertools import combinations
 
 import pytest
@@ -24,8 +26,19 @@ from monoidpcsp.cosets import (
     tensor_power,
     verify_dagger_splitting,
 )
-from monoidpcsp.errors import NotCommutative, NotRegular
+from monoidpcsp import cosets
+from monoidpcsp.errors import MonoidError, NotCommutative, NotRegular
+from monoidpcsp.model import parse_template
 from monoidpcsp.sweep import commutative_sweep
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir,
+                    "src", "monoidpcsp", "data")
+
+
+def relation_of(name):
+    with open(os.path.join(DATA, name)) as f:
+        T = parse_template(f.read())
+    return CartesianPower(T.carrier, T.arity), T.relation
 
 
 def test_setprod_and_tensor_power():
@@ -83,6 +96,50 @@ def test_closure_is_minimal_coset_brute_force():
                     (C for C in cosets if C and frozenset(U) <= C),
                     key=len)
                 assert closed == smallest
+
+
+def test_closure_matches_the_definition():
+    """coset_closure against [U] = U x <U^-1 x U> taken as set products, on
+    seeded sets of regular pairs and on the intro relations."""
+    def by_definition(P, U):
+        return setprod(P, U, generated_subset(P, setprod(P, inverse_set(P, U), U)))
+
+    rng = random.Random(8)
+    for M in commutative_sweep(3, unique=True):
+        P = CartesianPower(M, 2)
+        regular = [t for t in P.elements if is_regular_element(P, t)]
+        for _ in range(40):
+            U = frozenset(rng.sample(regular, rng.randint(1, min(5, len(regular)))))
+            assert coset_closure(P, U).members == by_definition(P, U)
+    for n in range(2, 7):
+        P, U = relation_of(f"introN_{n}.mon")
+        assert coset_closure(P, U).members == by_definition(P, U)
+
+
+def test_closure_self_check_is_live(monkeypatch):
+    """A construction whose <U^-1 x U> stops at {identity} returns U itself,
+    which is not a coset here; the check refuses it."""
+    monkeypatch.setattr(cosets, "_difference_monoid",
+                        lambda ops, U: ([], frozenset((ops.identity,))))
+    with pytest.raises(MonoidError, match="fails the coset equation"):
+        coset_closure(cyclic(3), {1, 2})
+    assert coset_closure(cyclic(3), {1}).members == {1}
+
+
+def test_closure_product_count_on_intro_n9():
+    """The 720 tuples of introN_9 close with few products: the four set
+    products of the definition took 2 685 637."""
+    class CountingPower(CartesianPower):
+        calls = 0
+
+        def mul(self, xs, ys):
+            self.calls += 1
+            return super().mul(xs, ys)
+
+    P, U = relation_of("introN_9.mon")
+    P = CountingPower(P.base, P.n)
+    assert len(coset_closure(P, U).members) == 9 ** 3
+    assert P.calls < 100_000
 
 
 def test_is_coset_examples():
