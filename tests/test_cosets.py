@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from monoidpcsp import cosets
 from monoidpcsp.core import (
     CartesianPower,
     cyclic,
@@ -26,7 +27,6 @@ from monoidpcsp.cosets import (
     tensor_power,
     verify_dagger_splitting,
 )
-from monoidpcsp import cosets
 from monoidpcsp.errors import MonoidError, NotCommutative, NotRegular
 from monoidpcsp.model import parse_template
 from monoidpcsp.sweep import commutative_sweep
