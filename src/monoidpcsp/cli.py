@@ -97,20 +97,16 @@ def assignment_rows(assignment):
 def cmd_solve(args, out):
     T = parse_template(_read(args.template))
     I = parse_instance(_read(args.instance))
-    assignment = solve_tractable(T, I)
-    if assignment is None:
-        out.row("unsat")
-        return EXIT_UNSAT
-    out.row("sat")
-    for fields in assignment_rows(assignment):
-        out.row(*fields)
-    return EXIT_OK
+    return _assignment_out(out, solve_tractable(T, I))
 
 
 def cmd_oracle(args, out):
     T = parse_template(_read(args.template))
     I = parse_instance(_read(args.instance))
-    assignment = oracle_solve(T, I, budget=args.budget)
+    return _assignment_out(out, oracle_solve(T, I, budget=args.budget))
+
+
+def _assignment_out(out, assignment):
     if assignment is None:
         out.row("unsat")
         return EXIT_UNSAT
@@ -138,7 +134,7 @@ def cmd_polysearch(args, out):
     if args.arity < 1 or args.arity % 2 == 0:
         raise MonoidError("polysearch arity must be odd")
     i = (args.arity - 1) // 2
-    f = find_block_symmetric(relM, relN, i, cap=args.budget)
+    f = find_block_symmetric(relM, relN, i)
     if f is None:
         out.row("none")
         return EXIT_UNSAT
@@ -213,7 +209,6 @@ def build_parser():
     sp.add_argument("--lhs", required=True)
     sp.add_argument("--rhs", required=True)
     sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=2_000_000)
     common(sp)
     sp.set_defaults(func=cmd_polysearch)
 

@@ -100,8 +100,8 @@ class MonoidHom:
 
     It shares one protocol with :class:`regularize.NFHom`, so callers never
     ask which kind of hom they hold: ``h(a)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``sort_key``,
-    ``pointwise_product(other)``, ``pointwise_inverse()`` and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``,
+    ``pointwise_inverse()`` and ``constant()``.
     """
 
     source: FiniteMonoid
@@ -121,10 +121,6 @@ class MonoidHom:
     def relation_image(self, T):
         """The image of a finite template's relation, as a tuple set."""
         return frozenset(tuple(self.images[a] for a in t) for t in T.relation)
-
-    @property
-    def sort_key(self):
-        return self.images
 
     def pointwise_product(self, other):
         F = self.target
@@ -201,8 +197,13 @@ def idempotents(M):
     return frozenset(a for a in M.elements if M.mul(a, a) == a)
 
 
+def commute(M, xs, ys):
+    """True iff every x in xs commutes with every y in ys."""
+    return all(M.mul(x, y) == M.mul(y, x) for x in xs for y in ys)
+
+
 def is_commutative(M):
-    return all(M.mul(a, b) == M.mul(b, a) for a in M.elements for b in M.elements)
+    return commute(M, M.elements, M.elements)
 
 
 def is_semilattice(M):
@@ -225,24 +226,26 @@ def idempotent_constant(M):
 # they serve a FiniteMonoid and a CartesianPower alike.
 
 
-def d_of(M, a):
-    """The unique idempotent power of a."""
+def power_walk(M, a):
+    """[a, a^2, ..., a^m], ending at the first idempotent power a^m.  Every
+    element fact below reads this one walk."""
+    walk = [a]
     x = a
     while M.mul(x, x) != x:
         x = M.mul(x, a)
-    return x
+        walk.append(x)
+    return walk
+
+
+def d_of(M, a):
+    """The unique idempotent power of a."""
+    return power_walk(M, a)[-1]
 
 
 def is_regular_element(M, a):
-    """True iff a lies in a subgroup, i.e. a = a^(k+1) for some k >= 1."""
-    x = M.mul(a, a)
-    while True:
-        if x == a:
-            return True
-        if M.mul(x, x) == x:
-            # reached the idempotent power d; a is regular iff d*a == a
-            return M.mul(x, a) == a
-        x = M.mul(x, a)
+    """True iff a lies in a subgroup, i.e. a^m * a = a for its idempotent
+    power a^m."""
+    return M.mul(d_of(M, a), a) == a
 
 
 def is_completely_regular(M):
@@ -251,15 +254,12 @@ def is_completely_regular(M):
 
 def inverse(M, a):
     """Group inverse of a regular element inside its maximal subgroup: the
-    power just below the idempotent power."""
-    if not is_regular_element(M, a):
+    power a^(m-1) just below the idempotent power a^m, or a itself when a is
+    idempotent."""
+    walk = power_walk(M, a)
+    if M.mul(walk[-1], a) != a:
         raise NotRegular(a)
-    x = a
-    prev = None
-    while M.mul(x, x) != x:
-        prev = x
-        x = M.mul(x, a)
-    return a if prev is None else prev
+    return walk[-2] if len(walk) > 1 else a
 
 
 def eval_exponents(M, base, gens, vec):
@@ -366,15 +366,6 @@ class CartesianPower:
 
     def mul(self, xs, ys):
         return tuple(self.base.mul(x, y) for x, y in zip(xs, ys))
-
-    def power(self, xs, k):
-        return tuple(self.base.power(x, k) for x in xs)
-
-    def prod(self, elems):
-        acc = self.identity
-        for x in elems:
-            acc = self.mul(acc, x)
-        return acc
 
 
 def direct_product(M, N):

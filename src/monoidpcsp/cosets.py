@@ -1,8 +1,8 @@
 """Set products, coset closure, and the splitting constants L(M) and K(M).
 
 Operations here are generic over any monoid-like object exposing
-``elements``, ``identity``, ``mul`` and ``prod`` (both :class:`FiniteMonoid`
-and :class:`CartesianPower` qualify), so the same code runs inside Cartesian
+``elements``, ``identity`` and ``mul`` (both :class:`FiniteMonoid` and
+:class:`CartesianPower` qualify), so the same code runs inside Cartesian
 powers without materializing their tables.  The element primitives
 (idempotent power, regularity, inverse, generated submonoid) come from
 :mod:`core`.  Cosets are only meaningful in a commutative ambient monoid.

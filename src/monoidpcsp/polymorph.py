@@ -8,6 +8,7 @@ from itertools import product
 
 from .core import (
     CartesianPower,
+    commute,
     is_commutative,
     is_completely_regular,
     minimal_generating_set,
@@ -64,24 +65,19 @@ class HomPolymorphism:
 
 
 def _images_commute(F, h1, h2):
-    for a in h1.generating_images():
-        for b in h2.generating_images():
-            if F.mul(a, b) != F.mul(b, a):
-                return False
-    return True
+    return commute(F, h1.generating_images(), h2.generating_images())
 
 
-def make_hom_polymorphism(components, check=True):
+def make_hom_polymorphism(components):
     components = tuple(components)
     if not components:
         raise ValidationError("a polymorphism needs at least one component")
     F = components[0].target
-    if check:
-        for i, h1 in enumerate(components):
-            for h2 in components[i:]:
-                if not _images_commute(F, h1, h2):
-                    raise NonCommutingImages(
-                        "component images do not commute pairwise")
+    for i, h1 in enumerate(components):
+        for h2 in components[i:]:
+            if not _images_commute(F, h1, h2):
+                raise NonCommutingImages(
+                    "component images do not commute pairwise")
     return HomPolymorphism(components)
 
 
@@ -157,11 +153,11 @@ def block_symmetric_from_witness(h, i):
     return make_hom_polymorphism([h] * (i + 1) + [h_inv] * i)
 
 
-def find_block_symmetric(relM, relN, i, cap=4096):
+def find_block_symmetric(relM, relN, i):
     """Search for an arity-(2i+1) polymorphism with components constant on
     the two blocks; returns the first hit in lexicographic order or None."""
     homs = homs_into(relM.carrier, relN.carrier)
-    if len(homs) ** 2 > cap:
+    if len(homs) ** 2 > SEARCH_CAP:
         raise SearchCapExceeded("too many homomorphism pairs")
     F = relN.carrier
     for g1 in homs:

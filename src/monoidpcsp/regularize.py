@@ -10,6 +10,7 @@ from .core import (
     CartesianPower,
     FiniteMonoid,
     MonoidHom,
+    commute,
     d_of,
     enumerate_homs,
     eval_exponents,
@@ -20,9 +21,9 @@ from .core import (
     is_commutative,
     is_completely_regular,
     is_hom_map,
-    is_regular_element,
     is_semilattice,
     make_hom,
+    power_walk,
     submonoid,
 )
 from .cosets import setprod
@@ -298,17 +299,6 @@ class NFIsomorphism:
         return eval_exponents(self.monoid, self.idem_of_new[x.d], self.generators, x.v)
 
 
-def _element_order_in_group(M, g, unit):
-    n = 1
-    x = g
-    while x != unit:
-        x = M.mul(x, g)
-        n += 1
-        if n > M.size + 1:
-            raise MonoidError("element has no order over the given unit")
-    return n
-
-
 def to_normal_form(M, generators):
     """Present a finite commutative regular monoid over the given generating
     set.  Returns an :class:`NFIsomorphism` (which carries the normal form)."""
@@ -334,7 +324,8 @@ def to_normal_form(M, generators):
         od = idem_of_new[d_new]
         supp = sorted(lam[d_new])
         gs = [M.mul(od, gens[alpha]) for alpha in supp]
-        orders = [_element_order_in_group(M, g, od) for g in gs]
+        # g lies in od's group, so its first idempotent power is od = g^order
+        orders = [len(power_walk(M, g)) for g in gs]
         kernel_gens = []
         for i, m in enumerate(orders):
             vec = [0] * q
@@ -371,8 +362,8 @@ class NFHom:
 
     It shares one protocol with :class:`core.MonoidHom`, so callers never ask
     which kind of hom they hold: ``h(x)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``sort_key``,
-    ``pointwise_product(other)``, ``pointwise_inverse()`` and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``,
+    ``pointwise_inverse()`` and ``constant()``.
     """
 
     source: NormalFormMonoid
@@ -397,10 +388,6 @@ class NFHom:
     def relation_image(self, T):
         return nf_relation_image(self, T)
 
-    @property
-    def sort_key(self):
-        return (self.phi_images, self.gen_images)
-
     def pointwise_product(self, other):
         F = self.target
         return NFHom(self.source, F,
@@ -420,19 +407,9 @@ class NFHom:
 
 
 def nf_hom_image(h):
-    """The (finite) image set of an NFHom inside its target."""
-    NF, F = h.source, h.target
-    out = set()
-    for d in NF.semilattice.elements:
-        gens = []
-        for alpha in sorted(NF.lam[d]):
-            g = h.gen_images[alpha]
-            gens.append(g)
-            gens.append(inverse(F, g))
-        sub = generated_subset(F, gens)
-        phi_d = h.phi_images[d]
-        out.update(F.mul(phi_d, s) for s in sub)
-    return frozenset(out)
+    """The (finite) image set of an NFHom inside its target: the submonoid
+    generated by its generating images."""
+    return generated_subset(h.target, h.generating_images())
 
 
 def nf_relation_image(h, T):
@@ -477,31 +454,26 @@ def nf_homs_to_finite(NF, F):
     """
     N = NF.semilattice
     idem_F = idempotents(F)
-    regular_F = [a for a in F.elements if is_regular_element(F, a)]
+    regular_of = {}     # idempotent e -> its maximal subgroup, in element order
+    for a in F.elements:
+        e = d_of(F, a)
+        if F.mul(e, a) == a:
+            regular_of.setdefault(e, []).append(a)
     out = []
     for phi in enumerate_homs(N, F):
         if not all(phi(d) in idem_F for d in N.elements):
             continue
-        phis = [phi(d) for d in N.elements]
-        if not _pairwise_commute(F, phis, phis):
+        phis = tuple(phi(d) for d in N.elements)
+        if not commute(F, phis, phis):
             continue
-        candidates = []
-        for alpha in range(NF.num_coords):
-            want = phis[NF.anchors[alpha]]
-            candidates.append([g for g in regular_F if d_of(F, g) == want])
+        candidates = [regular_of[phis[d]] for d in NF.anchors]
         for gen_imgs in product(*candidates):
-            if not _pairwise_commute(F, gen_imgs, gen_imgs):
-                continue
-            if not _pairwise_commute(F, gen_imgs, phis):
+            if not commute(F, gen_imgs, gen_imgs + phis):
                 continue
             if _relators_hold(NF, F, phis, gen_imgs):
-                out.append(NFHom(NF, F, tuple(phis), tuple(gen_imgs)))
-    out.sort(key=lambda h: h.sort_key)
+                out.append(NFHom(NF, F, phis, gen_imgs))
+    out.sort(key=lambda h: (h.phi_images, h.gen_images))
     return out
-
-
-def _pairwise_commute(F, xs, ys):
-    return all(F.mul(x, y) == F.mul(y, x) for x in xs for y in ys)
 
 
 def _relators_hold(NF, F, phis, gen_imgs):

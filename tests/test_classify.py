@@ -13,6 +13,7 @@ from monoidpcsp.classify import (
 from monoidpcsp.core import (
     FiniteMonoid,
     cyclic,
+    minimal_generating_set,
     semilattice_chain,
 )
 from monoidpcsp.errors import ArityMismatch, PromiseViolation
@@ -21,8 +22,8 @@ from monoidpcsp.model import (
     make_finite_template,
     make_nf_template,
 )
-from monoidpcsp.regularize import integers_nf
-from monoidpcsp.sweep import monoid_sweep
+from monoidpcsp.regularize import integers_nf, nf_homs_to_finite, to_normal_form
+from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 
 
 def nonconstant_triples(n):
@@ -94,6 +95,15 @@ def test_nf_hom_image_matches_pointwise_evaluation():
         from monoidpcsp.regularize import nf_element
         seen = {h(nf_element(T.carrier, 0, [k])) for k in range(-12, 13)}
         assert seen <= image
+
+
+def test_nf_hom_image_is_the_image_of_every_element():
+    # a finite S in normal form: the image is h applied to S's elements
+    for S in commutative_regular_sweep(3, unique=True):
+        iso = to_normal_form(S, minimal_generating_set(S))
+        for F in monoid_sweep(3, unique=True):
+            for h in nf_homs_to_finite(iso.nf, F):
+                assert nf_hom_image(h) == {h(iso.encode(a)) for a in S.elements}
 
 
 def test_nf_relation_image_inside_target_relation():

@@ -112,10 +112,13 @@ def test_caps_must_be_positive(tmp_path, capsys):
 
 
 def test_cap_options_only_where_read():
-    # --budget belongs to oracle and polysearch, --cap-power to pmc-reduce
+    # --budget belongs to oracle, --cap-power to pmc-reduce
     with pytest.raises(SystemExit):
         run(["solve", "--template", data("trivial.mon"),
              "--instance", data("empty.inst"), "--budget", "5"])
+    with pytest.raises(SystemExit):
+        run(["polysearch", "--lhs", data("trivial.mon"), "--rhs", data("trivial.mon"),
+             "--arity", "1", "--budget", "5"])
     with pytest.raises(SystemExit):
         run(["oracle", "--template", data("trivial.mon"),
              "--instance", data("empty.inst"), "--cap-power", "5"])

@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -107,6 +108,25 @@ def test_inverse_in_cyclic_group():
     for a in M.elements:
         b = inverse(M, a)
         assert M.mul(a, b) == d_of(M, a) == 0
+
+
+def test_inverse_walks_the_powers_once():
+    # a of order m: m squarings and m - 1 steps reach the idempotent a^m,
+    # and one more product tests a^m * a = a
+    class CountingPower(CartesianPower):
+        calls = 0
+
+        def mul(self, xs, ys):
+            self.calls += 1
+            return super().mul(xs, ys)
+
+    for n in range(1, 10):
+        P = CountingPower(cyclic(n), 1)
+        for a in range(n):
+            m = n // gcd(a, n)
+            P.calls = 0
+            assert inverse(P, (a,)) == ((-a) % n,)
+            assert P.calls <= 2 * m + 1
 
 
 def test_inverse_rejects_irregular_element():

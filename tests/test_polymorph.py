@@ -151,8 +151,10 @@ def test_find_block_symmetric():
     # always qualifies; the search only becomes discriminating at i >= 2
     T5 = make_finite_template(cyclic(5), 3, nonconstant_triples(5))
     assert find_block_symmetric(T5, T5, 2) is None
+    # Z/448 has 448 self-homs, so 448^2 = 200 704 pairs, just over SEARCH_CAP
+    full = make_finite_template(cyclic(448), 1, [(a,) for a in range(448)])
     with pytest.raises(SearchCapExceeded):
-        find_block_symmetric(T5, T5, 2, cap=1)
+        find_block_symmetric(full, full, 1)
 
 
 def test_minor_condition_triviality():
