@@ -18,8 +18,8 @@ from .core import (
     submonoid,
 )
 from .cosets import coset_closure, is_coset
-from .errors import ArityMismatch, PromiseViolation, ValidationError
-from .model import Template, is_nf_template
+from .errors import PromiseViolation
+from .model import Template, check_pair, finite_carrier, is_nf_template
 # nf_hom_image and nf_relation_image live beside NFHom and are re-exported here
 from .regularize import ab_reg, homs_into, nf_hom_image, nf_relation_image  # noqa: F401
 from .solver import projected_semilattice_template
@@ -31,13 +31,6 @@ class Classification:
     witness: object = None       # MonoidHom or NFHom, Tractable only
     sandwich: object = None      # finite Template over the witness image
     sandwich_embedding: tuple = None  # sandwich carrier index -> relN element
-
-
-def _require_compatible(relM, relN):
-    if is_nf_template(relN):
-        raise ValidationError("the target template must be finite")
-    if relM.arity != relN.arity:
-        raise ArityMismatch("template arities differ")
 
 
 def _try_witness(relN, image_elems, rel_image):
@@ -59,7 +52,7 @@ def _try_witness(relN, image_elems, rel_image):
 def relation_preserving_homs(relM, relN):
     """Homomorphisms between carriers that map relM's relation into relN's,
     in deterministic order, paired with their relation images."""
-    _require_compatible(relM, relN)
+    check_pair(relM, relN)
     out = []
     for h in homs_into(relM.carrier, relN.carrier):
         image = h.relation_image(relM)
@@ -95,11 +88,10 @@ def classify_via_abreg(relM, relN):
     """Classify a finite relM by regularizing it first: tractability is
     equivalent to a relational homomorphism from the commutative
     regularization (with the coset closure of the projected relation)."""
-    if is_nf_template(relM):
-        raise ValidationError("regularization path needs a finite source template")
+    M = finite_carrier(relM.carrier, "the regularization path")
     if not relation_preserving_homs(relM, relN):
         raise PromiseViolation("no relational homomorphism between the templates")
-    quot = ab_reg(relM.carrier)
+    quot = ab_reg(M)
     Q = quot.quotient
     projected = frozenset(tuple(quot.class_of[a] for a in t) for t in relM.relation)
     closed = coset_closure(CartesianPower(Q, relM.arity), projected).members

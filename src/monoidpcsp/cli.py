@@ -21,14 +21,14 @@ from .errors import (
     TooLarge,
 )
 from .model import (
-    is_nf_template,
+    finite_carrier,
     oracle_solve,
     parse_carrier,
     parse_instance,
     parse_template,
     serialize_instance,
 )
-from .regularize import NFElement, NormalFormMonoid, ab_reg
+from .regularize import NFElement, ab_reg
 from .polymorph import find_block_symmetric, parse_minor_condition, pmc_reduce
 from .solver import solve_tractable
 
@@ -117,9 +117,7 @@ def _assignment_out(out, assignment):
 
 
 def cmd_regularize(args, out):
-    M = parse_carrier(_read(args.template))
-    if isinstance(M, NormalFormMonoid):
-        raise MonoidError("regularization needs a finite carrier")
+    M = finite_carrier(parse_carrier(_read(args.template)), "regularization")
     quot = ab_reg(M)
     out.row("size", quot.quotient.size)
     out.row("classes", *quot.class_of)
@@ -159,9 +157,7 @@ def cmd_pmc_reduce(args, out):
 
 def cmd_coset_closure(args, out):
     T = parse_template(_read(args.template))
-    if is_nf_template(T):
-        raise MonoidError("coset closure output needs a finite carrier")
-    power = CartesianPower(T.carrier, T.arity)
+    power = CartesianPower(finite_carrier(T.carrier, "coset closure output"), T.arity)
     closed = coset_closure(power, T.relation).members
     out.row("size", len(closed))
     for t in sorted(closed):

@@ -7,6 +7,12 @@ sets; normal-form relations are finite unions of lattice-coset blocks over
 the concatenated coordinates.  Both kinds of template answer a constraint
 the same way: ``T.carrier.mul(a, b)``, ``T.carrier.identity``, element
 ``==`` and ``t in T.relation``.
+
+Each input rule has one home here: ``parse_ints`` reads the integer fields
+of every line of the text formats, ``finite_carrier`` refuses a normal-form
+carrier where a finite one is needed, ``check_pair`` checks a promise pair
+(relN finite, one arity), and ``check_arities`` checks the relation
+constraints of an instance against a template.
 """
 
 from dataclasses import dataclass
@@ -38,10 +44,18 @@ class Product:
     y: object
     z: object
 
+    @property
+    def vars(self):
+        return (self.x, self.y, self.z)
+
 
 @dataclass(frozen=True)
 class Identity:
     x: object
+
+    @property
+    def vars(self):
+        return (self.x,)
 
 
 @dataclass(frozen=True)
@@ -58,22 +72,12 @@ class Instance:
 def make_instance(var_count, constraints):
     if var_count < 0:
         raise ValidationError(f"variable count {var_count} is negative")
-
-    def check_var(v):
-        if not isinstance(v, int) or not 0 <= v < var_count:
-            raise ValidationError(f"variable index {v!r} out of range")
-
     for c in constraints:
-        if isinstance(c, Product):
-            for v in (c.x, c.y, c.z):
-                check_var(v)
-        elif isinstance(c, Identity):
-            check_var(c.x)
-        elif isinstance(c, Relation):
-            for v in c.vars:
-                check_var(v)
-        else:
+        if not isinstance(c, (Product, Identity, Relation)):
             raise ValidationError(f"unknown constraint {c!r}")
+        for v in c.vars:
+            if not isinstance(v, int) or not 0 <= v < var_count:
+                raise ValidationError(f"variable index {v!r} out of range")
     return Instance(var_count, tuple(constraints))
 
 
@@ -120,6 +124,22 @@ class Template:
 
 def is_nf_template(T):
     return isinstance(T.carrier, NormalFormMonoid)
+
+
+def finite_carrier(M, what):
+    """M, when it is a finite monoid; ``what`` names the step that needs
+    one in the ValidationError raised for a normal-form carrier."""
+    if isinstance(M, NormalFormMonoid):
+        raise ValidationError(f"{what} needs a finite carrier")
+    return M
+
+
+def check_pair(relM, relN):
+    """The input rules of a promise pair: relN has a finite carrier, and
+    the two relations have one arity.  relM may be finite or normal form."""
+    finite_carrier(relN.carrier, "the target template")
+    if relM.arity != relN.arity:
+        raise ArityMismatch("template arities differ")
 
 
 def make_finite_template(M, arity, tuples):
@@ -186,26 +206,31 @@ def make_nf_template(NF, arity, blocks):
 # Assignment checking
 
 
+def check_arities(T, I):
+    """Raise ArityMismatch unless every relation constraint of I has T's
+    arity."""
+    if any(isinstance(c, Relation) and len(c.vars) != T.arity
+           for c in I.constraints):
+        raise ArityMismatch("relation constraint arity mismatch")
+
+
+def holds(T, c, assignment):
+    """True iff the constraint c holds under the assignment (indexable by
+    c's variables) over T."""
+    if isinstance(c, Product):
+        return T.carrier.mul(assignment[c.x], assignment[c.y]) == assignment[c.z]
+    if isinstance(c, Identity):
+        return assignment[c.x] == T.carrier.identity
+    return tuple(assignment[v] for v in c.vars) in T.relation
+
+
 def check_assignment(T, I, assignment):
     """True iff the assignment (a sequence indexed by variable) satisfies
     every constraint of I over the template carrier."""
+    check_arities(T, I)
     if len(assignment) < I.var_count:
         raise ValidationError("assignment is not total")
-    M = T.carrier
-    ident = M.identity
-    for c in I.constraints:
-        if isinstance(c, Product):
-            if M.mul(assignment[c.x], assignment[c.y]) != assignment[c.z]:
-                return False
-        elif isinstance(c, Identity):
-            if assignment[c.x] != ident:
-                return False
-        else:
-            if len(c.vars) != T.arity:
-                raise ArityMismatch("relation constraint arity mismatch")
-            if tuple(assignment[v] for v in c.vars) not in T.relation:
-                return False
-    return True
+    return all(holds(T, c, assignment) for c in I.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +247,15 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
     Deterministic: variables in index order, values in element order.  The
     budget bounds visited search nodes.
     """
-    if is_nf_template(T):
-        raise ValidationError("the oracle needs a finite carrier")
-    M = T.carrier
+    M = finite_carrier(T.carrier, "the oracle")
+    check_arities(T, I)
     n = I.var_count
     # constraints become checkable once their last variable is assigned
     by_last = [[] for _ in range(n + 1)]
     for c in I.constraints:
-        if isinstance(c, Product):
-            last = max(c.x, c.y, c.z)
-        elif isinstance(c, Identity):
-            last = c.x
-        else:
-            if len(c.vars) != T.arity:
-                raise ArityMismatch("relation constraint arity mismatch")
-            last = max(c.vars) if c.vars else 0
-        by_last[last].append(c)
+        by_last[max(c.vars, default=0)].append(c)
     assignment = [None] * n
     nodes = 0
-
-    def consistent(v):
-        for c in by_last[v]:
-            if isinstance(c, Product):
-                if M.mul(assignment[c.x], assignment[c.y]) != assignment[c.z]:
-                    return False
-            elif isinstance(c, Identity):
-                if assignment[c.x] != M.identity:
-                    return False
-            else:
-                if tuple(assignment[u] for u in c.vars) not in T.relation:
-                    return False
-        return True
 
     def search(v):
         nonlocal nodes
@@ -263,7 +266,7 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
             if nodes > budget:
                 raise BudgetExceeded(f"oracle exceeded {budget} nodes")
             assignment[v] = a
-            if consistent(v) and search(v + 1):
+            if all(holds(T, c, assignment) for c in by_last[v]) and search(v + 1):
                 return True
         assignment[v] = None
         return False
@@ -307,26 +310,29 @@ class _Cursor:
         return self.pos >= len(self.lines)
 
 
-def _ints(no, toks):
+def parse_ints(no, toks, count=None):
+    """The fields toks of line no, read as integers; with a count, the line
+    must hold exactly that many."""
     try:
-        return [int(t) for t in toks]
+        vals = [int(t) for t in toks]
     except ValueError:
         raise ParseError(no, f"expected integers, got {toks}")
+    if count is not None and len(vals) != count:
+        raise ParseError(no, f"expected {count} integer(s), got {len(vals)}")
+    return vals
+
+
+def _fields(cur, keyword, count):
+    """The integer fields after the keyword of the next line, which must
+    start with that keyword and hold count of them."""
+    no, toks = cur.take(keyword)
+    return parse_ints(no, toks[1:], count)
 
 
 def _parse_table(cur, keyword):
     """A Cayley table: a '<keyword> <size> <identity>' header and its rows."""
-    no, toks = cur.take(keyword)
-    if len(toks) != 3:
-        raise ParseError(no, f"{keyword} header needs a size and an identity")
-    size, identity = _ints(no, toks[1:])
-    rows = []
-    for _ in range(size):
-        rno, rtoks = cur.take()
-        row = _ints(rno, rtoks)
-        if len(row) != size:
-            raise ParseError(rno, f"table row needs {size} entries")
-        rows.append(tuple(row))
+    size, identity = _fields(cur, keyword, 2)
+    rows = [tuple(parse_ints(*cur.take(), size)) for _ in range(size)]
     try:
         validate_monoid(tuple(rows), identity)
     except Exception as e:
@@ -338,33 +344,24 @@ def _parse_nf(cur):
     cur.take("nf")
     N = _parse_table(cur, "semilattice")
     size = N.size
-    no, toks = cur.take("coords")
-    if len(toks) != 2:
-        raise ParseError(no, "coords line needs a count")
-    (q,) = _ints(no, toks[1:])
+    (q,) = _fields(cur, "coords", 1)
     lam = [frozenset() for _ in range(size)]
     xi_gens = [[] for _ in range(size)]
     anchors = [None] * q
     while not cur.done() and cur.peek()[1][0] in ("lambda", "xi", "anchor"):
         no, toks = cur.take()
         if toks[0] == "lambda":
-            vals = _ints(no, toks[1:])
-            d, coords = vals[0], vals[1:]
+            (d,) = parse_ints(no, toks[1:2], 1)
             if not 0 <= d < size:
                 raise ParseError(no, f"semilattice index {d} out of range")
-            lam[d] = frozenset(coords)
+            lam[d] = frozenset(parse_ints(no, toks[2:]))
         elif toks[0] == "xi":
-            d, count = _ints(no, toks[1:])
+            d, count = parse_ints(no, toks[1:], 2)
             if not 0 <= d < size:
                 raise ParseError(no, f"semilattice index {d} out of range")
-            for _ in range(count):
-                vno, vtoks = cur.take()
-                vec = _ints(vno, vtoks)
-                if len(vec) != q:
-                    raise ParseError(vno, f"relation vector needs {q} entries")
-                xi_gens[d].append(vec)
+            xi_gens[d].extend(parse_ints(*cur.take(), q) for _ in range(count))
         else:
-            alpha, d = _ints(no, toks[1:])
+            alpha, d = parse_ints(no, toks[1:], 2)
             if not 0 <= alpha < q:
                 raise ParseError(no, f"coordinate {alpha} out of range")
             anchors[alpha] = d
@@ -396,46 +393,21 @@ def _parse_carrier(cur):
         raise ParseError(no, f"unknown carrier {word!r}") from e
 
 
-def _parse_rel_finite(cur, M):
-    no, toks = cur.take("rel")
-    if len(toks) != 2:
-        raise ParseError(no, "rel header needs an arity")
-    (arity,) = _ints(no, toks[1:])
+def _parse_rel_finite(cur, M, arity):
     tuples = []
     while not cur.done() and cur.peek()[1][0] == "tuple":
-        tno, ttoks = cur.take()
-        t = _ints(tno, ttoks[1:])
-        if len(t) != arity:
-            raise ParseError(tno, f"tuple needs {arity} entries")
-        tuples.append(tuple(t))
+        tuples.append(tuple(_fields(cur, "tuple", arity)))
     return make_finite_template(M, arity, tuples)
 
 
-def _parse_rel_nf(cur, NF):
-    no, toks = cur.take("rel")
-    if len(toks) != 2:
-        raise ParseError(no, "rel header needs an arity")
-    (arity,) = _ints(no, toks[1:])
-    q = NF.num_coords
+def _parse_rel_nf(cur, NF, arity):
+    width = arity * NF.num_coords
     blocks = []
     while not cur.done() and cur.peek()[1][0] == "block":
-        bno, btoks = cur.take()
-        (ngens,) = _ints(bno, btoks[1:])
-        dno, dtoks = cur.take("d")
-        d_tuple = _ints(dno, dtoks[1:])
-        if len(d_tuple) != arity:
-            raise ParseError(dno, f"d line needs {arity} entries")
-        ono, otoks = cur.take("offset")
-        offset = _ints(ono, otoks[1:])
-        if len(offset) != arity * q:
-            raise ParseError(ono, f"offset needs {arity * q} entries")
-        gens = []
-        for _ in range(ngens):
-            gno, gtoks = cur.take("gen")
-            g = _ints(gno, gtoks[1:])
-            if len(g) != arity * q:
-                raise ParseError(gno, f"generator needs {arity * q} entries")
-            gens.append(g)
+        (ngens,) = _fields(cur, "block", 1)
+        d_tuple = _fields(cur, "d", arity)
+        offset = _fields(cur, "offset", width)
+        gens = [_fields(cur, "gen", width) for _ in range(ngens)]
         blocks.append((d_tuple, offset, gens))
     return make_nf_template(NF, arity, blocks)
 
@@ -460,13 +432,11 @@ def _concat_templates(T1, T2):
 def parse_template(text):
     cur = _Cursor(text)
     carrier = _parse_carrier(cur)
-    nf = isinstance(carrier, NormalFormMonoid)
+    parse_rel = _parse_rel_nf if isinstance(carrier, NormalFormMonoid) else _parse_rel_finite
     T = None
     while not cur.done():
-        if cur.peek()[1][0] != "rel":
-            no, toks = cur.peek()
-            raise ParseError(no, f"unexpected line {toks[0]!r}")
-        part = _parse_rel_nf(cur, carrier) if nf else _parse_rel_finite(cur, carrier)
+        (arity,) = _fields(cur, "rel", 1)
+        part = parse_rel(cur, carrier, arity)
         T = part if T is None else _concat_templates(T, part)
     if T is None:
         raise ValidationError("template needs at least one rel block")
@@ -486,31 +456,20 @@ def parse_carrier(text):
 
 def parse_instance(text):
     cur = _Cursor(text)
-    no, toks = cur.take("instance")
-    if len(toks) != 2:
-        raise ParseError(no, "instance header needs a variable count")
-    (var_count,) = _ints(no, toks[1:])
+    (var_count,) = _fields(cur, "instance", 1)
     constraints = []
     while not cur.done():
         no, toks = cur.take()
         kind = toks[0]
-        args = _ints(no, toks[1:])
         if kind == "MUL":
-            if len(args) != 3:
-                raise ParseError(no, "MUL needs three variables")
-            constraints.append(Product(*args))
+            constraints.append(Product(*parse_ints(no, toks[1:], 3)))
         elif kind == "ID":
-            if len(args) != 1:
-                raise ParseError(no, "ID needs one variable")
-            constraints.append(Identity(args[0]))
+            constraints.append(Identity(*parse_ints(no, toks[1:], 1)))
         elif kind == "REL":
-            constraints.append(Relation(tuple(args)))
+            constraints.append(Relation(tuple(parse_ints(no, toks[1:]))))
         else:
             raise ParseError(no, f"unknown constraint kind {kind!r}")
-    try:
-        return make_instance(var_count, constraints)
-    except ValidationError as e:
-        raise ValidationError(str(e))
+    return make_instance(var_count, constraints)
 
 
 def serialize_instance(I):

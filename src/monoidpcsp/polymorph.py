@@ -14,7 +14,7 @@ from .core import (
     minimal_generating_set,
     submonoid,
 )
-from .cosets import setprod
+from .cosets import setprod, tensor_power
 from .errors import (
     ArityMismatch,
     NonCommutingImages,
@@ -28,8 +28,10 @@ from .model import (
     Identity,
     Product,
     Relation,
-    is_nf_template,
+    check_pair,
+    finite_carrier,
     make_instance,
+    parse_ints,
 )
 from .regularize import homs_into
 
@@ -124,8 +126,7 @@ class TableMap:
 def is_polymorphism(f, relM, relN):
     """True iff the componentwise polymorphism f maps n-fold relation
     combinations of relM into relN's relation."""
-    if relM.arity != relN.arity:
-        raise ArityMismatch("template arities differ")
+    check_pair(relM, relN)
     images = [h.relation_image(relM) for h in f.components]
     P = CartesianPower(relN.carrier, relN.arity)
     acc = images[0]
@@ -155,18 +156,29 @@ def block_symmetric_from_witness(h, i):
 
 def find_block_symmetric(relM, relN, i):
     """Search for an arity-(2i+1) polymorphism with components constant on
-    the two blocks; returns the first hit in lexicographic order or None."""
+    the two blocks; returns the first hit in lexicographic order or None.
+
+    The components g1 (i+1 times) and g2 (i times) map the relation
+    combinations onto A x B, with A the (i+1)-fold set product of g1's
+    relation image and B the i-fold one of g2's; each pair is the
+    :func:`is_polymorphism` test on these two sets, stopping at the first
+    product outside relN's relation."""
+    check_pair(relM, relN)
     homs = homs_into(relM.carrier, relN.carrier)
     if len(homs) ** 2 > SEARCH_CAP:
         raise SearchCapExceeded("too many homomorphism pairs")
-    F = relN.carrier
-    for g1 in homs:
-        for g2 in homs:
+    F, rel = relN.carrier, relN.relation
+    P = CartesianPower(F, relN.arity)
+    images = [h.relation_image(relM) for h in homs]
+    # B for each g2; at i = 0 there is no second block, and A alone is tested
+    second = [tensor_power(P, S, i) for S in images] if i else images
+    for g1, S1 in zip(homs, images):
+        A = tensor_power(P, S1, i + 1)
+        for g2, B in zip(homs, second):
             if not _images_commute(F, g1, g2):
                 continue
-            f = HomPolymorphism(tuple([g1] * (i + 1) + [g2] * i))
-            if is_polymorphism(f, relM, relN):
-                return f
+            if A <= rel if i == 0 else all(P.mul(x, y) in rel for x in A for y in B):
+                return HomPolymorphism(tuple([g1] * (i + 1) + [g2] * i))
     return None
 
 
@@ -263,12 +275,11 @@ def _table_minor(f, phi, m, M):
 def all_table_polymorphisms(relM, relN, arity):
     """Every polymorphism M^arity -> N as an explicit table, by brute force:
     the maps that preserve the identity, the product and the relation."""
-    M, N = relM.carrier, relN.carrier
+    check_pair(relM, relN)
+    M, N = finite_carrier(relM.carrier, "table polymorphism search"), relN.carrier
     keys = list(product(M.elements, repeat=arity))
     if N.size ** len(keys) > SEARCH_CAP:
         raise TooLarge("polymorphism enumeration exceeds the cap")
-    if relM.arity != relN.arity:
-        raise ArityMismatch("template arities differ")
     if (M.size ** (2 * arity) > SEARCH_CAP
             or (len(relM.relation) or 1) ** arity > SEARCH_CAP):
         raise TooLarge("table polymorphism check exceeds the cap")
@@ -289,9 +300,7 @@ def all_table_polymorphisms(relM, relN, arity):
 def is_satisfiable_in_pol(cond, relM, relN):
     """Exhaustive search for polymorphisms assigned to the symbols so that
     every edge identity holds as a table equality."""
-    if is_nf_template(relM):
-        raise ValidationError("satisfiability search needs a finite source")
-    M = relM.carrier
+    M = finite_carrier(relM.carrier, "satisfiability search")
     arity = dict(all_symbols(cond))
     by_arity = {}
     for k in set(arity.values()):
@@ -337,12 +346,12 @@ def parse_minor_condition(text):
         if toks[0] == "sym":
             if len(toks) != 4 or toks[3] not in ("U", "V"):
                 raise ParseError(no, "sym line needs a name, arity, and side")
-            entry = (toks[1], int(toks[2]))
-            (u_symbols if toks[3] == "U" else v_symbols).append(entry)
+            (k,) = parse_ints(no, toks[2:3])
+            (u_symbols if toks[3] == "U" else v_symbols).append((toks[1], k))
         elif toks[0] == "edge":
             if len(toks) < 4:
                 raise ParseError(no, "edge line needs two symbols and a map")
-            edges.append((toks[1], toks[2], tuple(int(t) for t in toks[3:])))
+            edges.append((toks[1], toks[2], tuple(parse_ints(no, toks[3:]))))
         else:
             raise ParseError(no, f"unknown line {toks[0]!r}")
     return make_minor_condition(u_symbols, v_symbols, edges)
@@ -403,12 +412,9 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=200_000):
     the instance is satisfiable over relN, the condition is satisfiable in
     the polymorphisms of the pair.
     """
-    if is_nf_template(relM):
-        raise ValidationError("the reduction needs a finite source template")
-    M, B = relM.carrier, relN.carrier
+    check_pair(relM, relN)
+    M, B = finite_carrier(relM.carrier, "the reduction"), relN.carrier
     r = relM.arity
-    if relN.arity != r:
-        raise ArityMismatch("template arities differ")
     arity = dict(all_symbols(cond))
     if any(k > N_arity for k in arity.values()):
         raise ValidationError("symbol arity exceeds the padding arity")

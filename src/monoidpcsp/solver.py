@@ -7,11 +7,12 @@ from dataclasses import dataclass
 
 from .core import CartesianPower, minimal_generating_set
 from .cosets import is_coset
-from .errors import ArityMismatch, NotACoset, ValidationError
+from .errors import NotACoset, ValidationError
 from .model import (
     Identity,
     Product,
     Template,
+    check_arities,
     check_assignment,
     is_nf_template,
     make_nf_template,
@@ -54,8 +55,6 @@ def minimal_homomorphism(TI, I):
         return changed
 
     def prune_relation(c):
-        if len(c.vars) != TI.arity:
-            raise ArityMismatch("relation constraint arity mismatch")
         rows = [t for t in TI.relation
                 if all(t[i] in domains[v] for i, v in enumerate(c.vars))
                 and all(t[i] == t[j] for i in range(len(c.vars))
@@ -186,6 +185,7 @@ def solve_tractable(T, I):
     satisfying assignment over T's carrier (NFElements for a normal-form
     template) or None.
     """
+    check_arities(T, I)
     NT, iso = (T, None) if is_nf_template(T) else finite_template_to_nf(T)
     NF = NT.carrier
     TI = projected_semilattice_template(NT)

@@ -96,6 +96,61 @@ def test_oracle_rejects_nf_template(capsys):
     assert capsys.readouterr().err == "error: the oracle needs a finite carrier\n"
 
 
+# a valid normal-form template over a one-element semilattice and one
+# coordinate; each malformed variant breaks one of its lines
+NF_TEXT = ("nf\nsemilattice 1 0\n0\ncoords 1\nlambda 0 0\nanchor 0 0\n"
+           "rel 1\nblock 0\nd 0\noffset 0\n")
+UNARY_MC = "sym f 1 U\nsym g 1 V\nedge f g 0\n"
+
+
+def _solve_nf(text):
+    return (["solve", "--template", "bad.nf", "--instance", data("empty.inst")],
+            {"bad.nf": text})
+
+
+def _pmc_reduce(rhs, cond):
+    return (["pmc-reduce", "--lhs", data("introN_3.mon"), "--rhs", data(rhs),
+             "--arity", "1", "--instance", "cond.mc"], {"cond.mc": cond})
+
+
+# argv and the files it names, written to a temporary directory
+BAD_INPUTS = {
+    "polysearch-nf-rhs": (["polysearch", "--lhs", data("introN_3.mon"),
+                           "--rhs", data("intro_M.nf"), "--arity", "3"], {}),
+    "polysearch-nf-both": (["polysearch", "--lhs", data("intro_M.nf"),
+                            "--rhs", data("intro_M.nf"), "--arity", "1"], {}),
+    "pmc-reduce-nf-rhs": _pmc_reduce("intro_M.nf", UNARY_MC),
+    "nf-anchor": _solve_nf(NF_TEXT.replace("anchor 0 0", "anchor 0")),
+    "nf-lambda": _solve_nf(NF_TEXT.replace("lambda 0 0", "lambda")),
+    "nf-xi": _solve_nf(NF_TEXT.replace("anchor", "xi 0\nanchor")),
+    "nf-block": _solve_nf(NF_TEXT.replace("block 0", "block")),
+    "nf-block-two": _solve_nf(NF_TEXT.replace("block 0", "block 1 2")),
+    "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
+    "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
+}
+
+
+def _write(argv, files, tmp_path):
+    """argv with the names of files replaced by their written paths."""
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    return [str(tmp_path / a) if a in files else a for a in argv]
+
+
+def test_bad_input_baselines_are_valid(tmp_path):
+    """The well-formed texts the bad inputs are made from run to exit 0."""
+    assert run(_write(*_solve_nf(NF_TEXT), tmp_path)) == (0, "sat\n")
+    assert run(_write(*_pmc_reduce("introN_3.mon", UNARY_MC), tmp_path))[0] == 0
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(name, tmp_path, capsys):
+    assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_caps_must_be_positive(tmp_path, capsys):
     code, out = run(["oracle", "--template", data("introN_4.mon"),
                      "--instance", data("intro.inst"), "--budget", "0"])

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from monoidpcsp.classify import classify, classify_via_abreg
 from monoidpcsp.core import cyclic, semilattice_chain
 from monoidpcsp.errors import (
     ArityMismatch,
@@ -25,6 +26,14 @@ from monoidpcsp.model import (
     parse_template,
     serialize_instance,
     serialize_template,
+)
+from monoidpcsp.polymorph import (
+    all_table_polymorphisms,
+    find_block_symmetric,
+    is_satisfiable_in_pol,
+    make_minor_condition,
+    parse_minor_condition,
+    pmc_reduce,
 )
 from monoidpcsp.regularize import integers_nf, nf_element
 
@@ -99,6 +108,14 @@ def test_check_assignment_nf():
     assert not check_assignment(T, I, z(1, 2, 3, 0))   # only the Relation fails
     with pytest.raises(ArityMismatch):
         check_assignment(T, make_instance(2, [Relation((0, 1))]), z(0, 1))
+
+
+def test_check_assignment_checks_arities_before_constraints():
+    # the Identity fails first, and the wrong-arity REL is still refused
+    T = make_finite_template(cyclic(4), 1, [(2,)])
+    I = make_instance(2, [Identity(0), Relation((0, 1))])
+    with pytest.raises(ArityMismatch):
+        check_assignment(T, I, [1, 0])
 
 
 def test_oracle_matches_exhaustive_search():
@@ -192,3 +209,74 @@ def test_multi_rel_concatenation():
     T = parse_template(text)
     assert T.arity == 2
     assert T.relation == frozenset({(0, 0), (0, 1)})
+
+
+UNARY_COND = make_minor_condition([("f", 1)], [("g", 1)], [("f", "g", (0,))])
+
+# each finite-only function with a normal-form carrier in a slot it refuses;
+# F is a finite template and NF a normal-form one, both of arity 3
+REFUSALS = {
+    "oracle_solve": lambda F, NF: oracle_solve(NF, intro_instance()),
+    "classify-rhs": lambda F, NF: classify(F, NF),
+    "classify-both": lambda F, NF: classify(NF, NF),
+    "classify_via_abreg-lhs": lambda F, NF: classify_via_abreg(NF, F),
+    "classify_via_abreg-rhs": lambda F, NF: classify_via_abreg(F, NF),
+    "find_block_symmetric-rhs": lambda F, NF: find_block_symmetric(F, NF, 1),
+    "find_block_symmetric-both": lambda F, NF: find_block_symmetric(NF, NF, 1),
+    "all_table_polymorphisms-lhs": lambda F, NF: all_table_polymorphisms(NF, F, 1),
+    "all_table_polymorphisms-rhs": lambda F, NF: all_table_polymorphisms(F, NF, 1),
+    "is_satisfiable_in_pol-lhs": lambda F, NF: is_satisfiable_in_pol(UNARY_COND, NF, F),
+    "is_satisfiable_in_pol-rhs": lambda F, NF: is_satisfiable_in_pol(UNARY_COND, F, NF),
+    "pmc_reduce-lhs": lambda F, NF: pmc_reduce(UNARY_COND, NF, F, 1),
+    "pmc_reduce-rhs": lambda F, NF: pmc_reduce(UNARY_COND, F, NF, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_finite_only_functions_refuse_nf_carriers(name):
+    F = make_finite_template(cyclic(3), 3, nonconstant_triples(3))
+    with pytest.raises(ValidationError, match="needs a finite carrier"):
+        REFUSALS[name](F, intro_nf_template())
+
+
+# a valid normal-form template over a one-element semilattice and one
+# coordinate; each malformed variant below breaks one of its lines
+NF_TEXT = ("nf\nsemilattice 1 0\n0\ncoords 1\nlambda 0 0\nanchor 0 0\n"
+           "rel 1\nblock 1\nd 0\noffset 0\ngen 3\n")
+FINITE_TEXT = "monoid 2 0\n0 1\n1 0\nrel 1\ntuple 1\n"
+MC_TEXT = "sym f 1 U\nsym g 1 V\nedge f g 0\n"
+
+MALFORMED = [
+    (parse_template, FINITE_TEXT, "monoid 2 0", "monoid 2"),
+    (parse_template, FINITE_TEXT, "1 0\n", "1\n"),
+    (parse_template, FINITE_TEXT, "rel 1", "rel"),
+    (parse_template, FINITE_TEXT, "rel 1", "rel 1 2"),
+    (parse_template, FINITE_TEXT, "tuple 1", "tuple 1 0"),
+    (parse_template, FINITE_TEXT, "tuple 1", "tuple 1\nfoo 0"),
+    (parse_template, NF_TEXT, "coords 1", "coords"),
+    (parse_template, NF_TEXT, "lambda 0 0", "lambda"),
+    (parse_template, NF_TEXT, "anchor", "xi 0\nanchor"),
+    (parse_template, NF_TEXT, "anchor", "xi 0 1\n1 2\nanchor"),
+    (parse_template, NF_TEXT, "anchor 0 0", "anchor 0"),
+    (parse_template, NF_TEXT, "block 1", "block"),
+    (parse_template, NF_TEXT, "block 1", "block 1 2"),
+    (parse_template, NF_TEXT, "d 0", "d 0 0"),
+    (parse_template, NF_TEXT, "offset 0", "offset"),
+    (parse_template, NF_TEXT, "gen 3", "gen 3 3"),
+    (parse_instance, "instance 2\nMUL 0 0 1\n", "instance 2", "instance"),
+    (parse_instance, "instance 2\nMUL 0 0 1\n", "MUL 0 0 1", "MUL 0 0"),
+    (parse_instance, "instance 2\nMUL 0 0 1\n", "MUL 0 0 1", "ID"),
+    (parse_instance, "instance 2\nMUL 0 0 1\n", "MUL 0 0 1", "REL 0 x"),
+    (parse_minor_condition, MC_TEXT, "sym f 1 U", "sym f x U"),
+    (parse_minor_condition, MC_TEXT, "sym f 1 U", "sym f 1"),
+    (parse_minor_condition, MC_TEXT, "edge f g 0", "edge f g a b"),
+    (parse_minor_condition, MC_TEXT, "edge f g 0", "edge f g"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line, bad", MALFORMED,
+                         ids=[bad for _, _, _, bad in MALFORMED])
+def test_parsers_reject_malformed_lines(parse, text, line, bad):
+    parse(text)
+    with pytest.raises(ParseError):
+        parse(text.replace(line, bad, 1))
