@@ -52,14 +52,13 @@ def _read(path):
         return fh.read()
 
 
-def _witness_rows(out, h):
+def _hom_rows(h, finite_label):
+    """The kind of a hom and the rows that print it: a ``phi`` and a ``gen``
+    row of images for a normal-form source, one row of images after
+    finite_label for a finite one."""
     if hasattr(h, "phi_images"):
-        out.row("witness", "nf-hom")
-        out.row("phi", *h.phi_images)
-        out.row("gen", *h.gen_images)
-    else:
-        out.row("witness", "hom")
-        out.row("images", *h.images)
+        return "nf-hom", [("phi", *h.phi_images), ("gen", *h.gen_images)]
+    return "hom", [(*finite_label, *h.images)]
 
 
 def cmd_classify(args, out):
@@ -74,7 +73,10 @@ def cmd_classify(args, out):
         out.row("NP-HARD")
         return EXIT_NPHARD
     out.row("TRACTABLE")
-    _witness_rows(out, c.witness)
+    kind, rows = _hom_rows(c.witness, ["images"])
+    out.row("witness", kind)
+    for fields in rows:
+        out.row(*fields)
     out.row("sandwich-size", c.sandwich.carrier.size)
     out.row("sandwich-relation", len(c.sandwich.relation))
     out.row("sandwich-embedding", *c.sandwich_embedding)
@@ -138,11 +140,8 @@ def cmd_polysearch(args, out):
         return EXIT_UNSAT
     out.row("found", "arity", f.arity)
     for k, comp in enumerate(f.components):
-        if hasattr(comp, "phi_images"):
-            out.row(f"f{k}", "phi", *comp.phi_images)
-            out.row(f"f{k}", "gen", *comp.gen_images)
-        else:
-            out.row(f"f{k}", *comp.images)
+        for fields in _hom_rows(comp, [])[1]:
+            out.row(f"f{k}", *fields)
     return EXIT_OK
 
 

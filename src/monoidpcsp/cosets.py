@@ -45,10 +45,6 @@ def tensor_power(ops, U, n):
     return acc
 
 
-def inverse_set(ops, U):
-    return frozenset(inverse(ops, a) for a in U)
-
-
 def dagger_set(ops, U):
     """Elementwise a -> a * d_a."""
     return frozenset(ops.mul(a, d_of(ops, a)) for a in U)

@@ -70,10 +70,6 @@ class NonCommutingImages(MonoidError):
     pass
 
 
-class WitnessInvalid(MonoidError):
-    pass
-
-
 class SearchCapExceeded(MonoidError):
     pass
 

@@ -17,7 +17,7 @@ constraints of an instance against a template.
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, monoid_from_keyword, validate_monoid, format_monoid
+from .core import FiniteMonoid, monoid_from_keyword, validate_monoid
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -329,6 +329,13 @@ def _fields(cur, keyword, count):
     return parse_ints(no, toks[1:], count)
 
 
+def _in_range(no, value, bound, what):
+    """Raise a ParseError for line no, naming the field, unless
+    0 <= value < bound."""
+    if not 0 <= value < bound:
+        raise ParseError(no, f"{what} {value} out of range")
+
+
 def _parse_table(cur, keyword):
     """A Cayley table: a '<keyword> <size> <identity>' header and its rows."""
     size, identity = _fields(cur, keyword, 2)
@@ -352,18 +359,18 @@ def _parse_nf(cur):
         no, toks = cur.take()
         if toks[0] == "lambda":
             (d,) = parse_ints(no, toks[1:2], 1)
-            if not 0 <= d < size:
-                raise ParseError(no, f"semilattice index {d} out of range")
+            _in_range(no, d, size, "semilattice index")
             lam[d] = frozenset(parse_ints(no, toks[2:]))
         elif toks[0] == "xi":
             d, count = parse_ints(no, toks[1:], 2)
-            if not 0 <= d < size:
-                raise ParseError(no, f"semilattice index {d} out of range")
+            _in_range(no, d, size, "semilattice index")
+            if count < 0:
+                raise ParseError(no, f"row count {count} is negative")
             xi_gens[d].extend(parse_ints(*cur.take(), q) for _ in range(count))
         else:
             alpha, d = parse_ints(no, toks[1:], 2)
-            if not 0 <= alpha < q:
-                raise ParseError(no, f"coordinate {alpha} out of range")
+            _in_range(no, alpha, q, "coordinate")
+            _in_range(no, d, size, "semilattice index")
             anchors[alpha] = d
     if any(a is None for a in anchors):
         raise ValidationError("every coordinate needs an anchor line")
@@ -404,7 +411,10 @@ def _parse_rel_nf(cur, NF, arity):
     width = arity * NF.num_coords
     blocks = []
     while not cur.done() and cur.peek()[1][0] == "block":
-        (ngens,) = _fields(cur, "block", 1)
+        no, toks = cur.take("block")
+        (ngens,) = parse_ints(no, toks[1:], 1)
+        if ngens < 0:
+            raise ParseError(no, f"generator count {ngens} is negative")
         d_tuple = _fields(cur, "d", arity)
         offset = _fields(cur, "offset", width)
         gens = [_fields(cur, "gen", width) for _ in range(ngens)]
@@ -481,33 +491,4 @@ def serialize_instance(I):
             lines.append(f"ID {c.x}")
         else:
             lines.append("REL " + " ".join(str(v) for v in c.vars))
-    return "\n".join(lines) + "\n"
-
-
-def serialize_template(T):
-    if is_nf_template(T):
-        NF = T.carrier
-        lines = ["nf", f"semilattice {NF.semilattice.size} {NF.semilattice.identity}"]
-        for row in NF.semilattice.table:
-            lines.append(" ".join(str(v) for v in row))
-        lines.append(f"coords {NF.num_coords}")
-        for d in NF.semilattice.elements:
-            lines.append(f"lambda {d} " + " ".join(str(a) for a in sorted(NF.lam[d])))
-        for d in NF.semilattice.elements:
-            lines.append(f"xi {d} {len(NF.xi[d].basis)}")
-            for row in NF.xi[d].basis:
-                lines.append(" ".join(str(v) for v in row))
-        for alpha, d in enumerate(NF.anchors):
-            lines.append(f"anchor {alpha} {d}")
-        lines.append(f"rel {T.arity}")
-        for block in sorted(T.relation, key=lambda b: (b.d_tuple, b.coset.offset)):
-            lines.append(f"block {len(block.coset.lattice.basis)}")
-            lines.append("d " + " ".join(str(d) for d in block.d_tuple))
-            lines.append("offset " + " ".join(str(v) for v in block.coset.offset))
-            for g in block.coset.lattice.basis:
-                lines.append("gen " + " ".join(str(v) for v in g))
-        return "\n".join(lines) + "\n"
-    lines = [format_monoid(T.carrier).rstrip("\n"), f"rel {T.arity}"]
-    for t in sorted(T.relation):
-        lines.append("tuple " + " ".join(str(v) for v in t))
     return "\n".join(lines) + "\n"

@@ -9,10 +9,7 @@ from itertools import product
 from .core import (
     CartesianPower,
     commute,
-    is_commutative,
-    is_completely_regular,
     minimal_generating_set,
-    submonoid,
 )
 from .cosets import setprod, tensor_power
 from .errors import (
@@ -22,7 +19,6 @@ from .errors import (
     SearchCapExceeded,
     TooLarge,
     ValidationError,
-    WitnessInvalid,
 )
 from .model import (
     Identity,
@@ -137,21 +133,6 @@ def is_polymorphism(f, relM, relN):
 
 # ---------------------------------------------------------------------------
 # 2-block symmetric polymorphisms
-
-
-def block_symmetric_from_witness(h, i):
-    """Arity-(2i+1) polymorphism with i+1 components h and i components the
-    pointwise inverse of h.  Needs a witness with commutative completely
-    regular image."""
-    if i < 0:
-        raise ValidationError("block parameter must be non-negative")
-    A, _, _ = submonoid(h.target, h.image_set())
-    if not (is_commutative(A) and is_completely_regular(A)):
-        raise WitnessInvalid("witness image is not commutative regular")
-    if i == 0:
-        return make_hom_polymorphism([h])
-    h_inv = h.pointwise_inverse()
-    return make_hom_polymorphism([h] * (i + 1) + [h_inv] * i)
 
 
 def find_block_symmetric(relM, relN, i):

@@ -67,18 +67,21 @@ def _quotient_from_roots(M, root_of):
             row.append(class_of[M.mul(r, s)])
         table.append(tuple(row))
     quotient = FiniteMonoid(tuple(table), class_of[M.identity])
-    # product-compatibility check: the table must not depend on representatives
-    for a in M.elements:
-        for b in M.elements:
-            if class_of[M.mul(a, b)] != quotient.mul(class_of[a], class_of[b]):
-                raise MonoidError("relation is not a congruence")
+    # the table is read off one representative per class; make_hom raises
+    # unless class_of respects every product, i.e. unless root_of is a
+    # congruence
     projection = make_hom(M, quotient, class_of)
     return CongruenceQuotient(M, class_of, quotient, projection)
 
 
 def congruence_closure(M, pairs):
-    """Smallest monoid congruence containing the given pairs, via union-find
-    with product propagation to a fixpoint.  Returns a root map."""
+    """Smallest monoid congruence containing the given pairs, as a map from
+    each element to the least member of its class.
+
+    A union-find worklist: each pair (a, b) that merges two classes queues
+    (ac, bc) and (ca, cb) for every c.  That is enough, as the classes are
+    the connected components of the merging pairs: a path from x to y
+    through merging pairs gives one from xc to yc and one from cx to cy."""
     parent = list(M.elements)
 
     def find(x):
@@ -87,28 +90,16 @@ def congruence_closure(M, pairs):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
-
-    for a, b in pairs:
-        union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for a in M.elements:
-            for b in range(a + 1, M.size):
-                if find(a) == find(b):
-                    for c in M.elements:
-                        if union(M.mul(a, c), M.mul(b, c)):
-                            changed = True
-                        if union(M.mul(c, a), M.mul(c, b)):
-                            changed = True
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        ra, rb = sorted((find(a), find(b)))
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        for c in M.elements:
+            work.append((M.mul(a, c), M.mul(b, c)))
+            work.append((M.mul(c, a), M.mul(c, b)))
     return [find(a) for a in M.elements]
 
 
@@ -253,20 +244,11 @@ def nf_power(NF, x, n):
     return nf_element(NF, x.d, [n * a for a in x.v])
 
 
-def nf_inverse(NF, x):
-    """Group inverse of [d, v] inside its class group: [d, -v]."""
-    return nf_element(NF, x.d, [-a for a in x.v])
-
-
 def nf_generator(NF, alpha):
     """The element corresponding to coordinate alpha: [d(alpha), e_alpha]."""
     v = [0] * NF.num_coords
     v[alpha] = 1
     return nf_element(NF, NF.anchors[alpha], v)
-
-
-def nf_semilattice_element(NF, d):
-    return nf_element(NF, d, [0] * NF.num_coords)
 
 
 def integers_nf():
@@ -362,8 +344,8 @@ class NFHom:
 
     It shares one protocol with :class:`core.MonoidHom`, so callers never ask
     which kind of hom they hold: ``h(x)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``,
-    ``pointwise_inverse()`` and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)`` and
+    ``constant()``.
     """
 
     source: NormalFormMonoid
@@ -393,11 +375,6 @@ class NFHom:
         return NFHom(self.source, F,
                      tuple(F.mul(a, b) for a, b in zip(self.phi_images, other.phi_images)),
                      tuple(F.mul(a, b) for a, b in zip(self.gen_images, other.gen_images)))
-
-    def pointwise_inverse(self):
-        F = self.target
-        return NFHom(self.source, F, self.phi_images,
-                     tuple(inverse(F, g) for g in self.gen_images))
 
     def constant(self):
         """The hom sending everything to the target identity."""

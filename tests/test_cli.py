@@ -125,6 +125,9 @@ BAD_INPUTS = {
     "nf-xi": _solve_nf(NF_TEXT.replace("anchor", "xi 0\nanchor")),
     "nf-block": _solve_nf(NF_TEXT.replace("block 0", "block")),
     "nf-block-two": _solve_nf(NF_TEXT.replace("block 0", "block 1 2")),
+    "nf-block-negative": _solve_nf(NF_TEXT.replace("block 0", "block -1")),
+    "nf-xi-negative": _solve_nf(NF_TEXT.replace("anchor", "xi 0 -1\nanchor")),
+    "nf-anchor-range": _solve_nf(NF_TEXT.replace("anchor 0 0", "anchor 0 7")),
     "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
     "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
 }
@@ -149,6 +152,13 @@ def test_bad_input_exits_2_with_one_error_line(name, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["nf-anchor-range", "nf-block-negative",
+                                  "nf-xi-negative"])
+def test_bad_nf_field_error_names_its_line(name, tmp_path, capsys):
+    main(_write(*BAD_INPUTS[name], tmp_path))
+    assert capsys.readouterr().err.startswith("error: line ")
 
 
 def test_caps_must_be_positive(tmp_path, capsys):
@@ -235,6 +245,19 @@ def test_keyword_carrier_order_is_bounded(tmp_path, deadline):
             assert run(["coset-closure", "--template", str(rel)]) == (2, "")
     rel.write_text("cyclic:1024\nrel 1\ntuple 1\n")
     assert run(["coset-closure", "--template", str(rel)]) == (0, "size 1\ntuple 1\n")
+
+
+def test_classify_on_a_long_chain_keyword(tmp_path, deadline):
+    """Every generator of a chain is forced, so classify finds the chain's
+    generating set with one scan of its table, not a subset search."""
+    lhs, rhs = tmp_path / "lhs.mon", tmp_path / "rhs.mon"
+    lhs.write_text("semilattice:chain:20\nrel 2\ntuple 0 1\ntuple 19 3\n")
+    rhs.write_text("semilattice:chain:2\nrel 2\ntuple 0 1\ntuple 1 1\n")
+    with deadline(2):
+        code, out = run(["classify", "--lhs", str(lhs), "--rhs", str(rhs)])
+    assert code == 0
+    assert out == ("TRACTABLE\nwitness hom\nimages 0" + " 1" * 19 + "\n"
+                   "sandwich-size 2\nsandwich-relation 2\nsandwich-embedding 0 1\n")
 
 
 def test_tab_format():

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -167,6 +167,34 @@ def test_minimal_generating_set_generates():
               direct_product(cyclic(2), cyclic(3))):
         gens = minimal_generating_set(M)
         assert generated_subset(M, gens) == frozenset(M.elements)
+
+
+def test_minimal_generating_set_is_the_first_smallest():
+    """The search from the forced elements returns the set that the plain
+    search by increasing size in index order returns, on the whole sweep."""
+    def by_size(M):
+        for k in range(M.size + 1):
+            for combo in combinations(M.elements, k):
+                if len(generated_subset(M, combo)) == M.size:
+                    return list(combo)
+
+    for M in monoid_sweep(6) + [direct_product(cyclic(2), semilattice_chain(3)),
+                                semilattice_chain(8)]:
+        assert minimal_generating_set(M) == by_size(M), M.table
+
+
+def test_minimal_generating_set_of_a_chain_is_one_scan(deadline):
+    """Every element of a chain but its identity is forced, so no subset is
+    searched; a search among all 2^24 subsets would run for minutes."""
+    with deadline(2):
+        assert minimal_generating_set(semilattice_chain(24)) == list(range(1, 24))
+
+
+def test_make_hom_refuses_a_map_that_is_not_a_hom():
+    with pytest.raises(MonoidError):
+        make_hom(cyclic(2), cyclic(3), (0, 1))
+    with pytest.raises(MonoidError):
+        make_hom(cyclic(2), cyclic(2), (1, 0))
 
 
 def test_enumerate_homs_counts():

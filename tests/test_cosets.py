@@ -20,7 +20,6 @@ from monoidpcsp.cosets import (
     dagger_set,
     dagger_splitting_bound,
     generated_subset,
-    inverse_set,
     is_coset,
     setprod,
     splitting_index,
@@ -33,6 +32,11 @@ from monoidpcsp.sweep import commutative_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
                     "src", "monoidpcsp", "data")
+
+
+def inverse_set(ops, U):
+    """U^-1, elementwise: the reference the closure tests build [U] from."""
+    return frozenset(inverse(ops, a) for a in U)
 
 
 def relation_of(name):

@@ -25,7 +25,6 @@ from monoidpcsp.model import (
     parse_instance,
     parse_template,
     serialize_instance,
-    serialize_template,
 )
 from monoidpcsp.polymorph import (
     all_table_polymorphisms,
@@ -160,24 +159,6 @@ def test_intro_instance_satisfiable_over_cyclic():
     for n in range(2, 7):
         T = make_finite_template(cyclic(n), 3, nonconstant_triples(n))
         assert oracle_solve(T, I) is not None
-
-
-def test_parse_serialize_finite_template_round_trip():
-    M = cyclic(3)
-    T = make_finite_template(M, 2, [(0, 1), (2, 2)])
-    T2 = parse_template(serialize_template(T))
-    assert T2.carrier.table == M.table
-    assert T2.relation == T.relation
-
-
-def test_parse_serialize_nf_template_round_trip():
-    T = intro_nf_template()
-    T2 = parse_template(serialize_template(T))
-    assert is_nf_template(T2)
-    assert T2.arity == 3
-    b1 = sorted((b.d_tuple, b.coset.offset) for b in T.relation)
-    b2 = sorted((b.d_tuple, b.coset.offset) for b in T2.relation)
-    assert b1 == b2
 
 
 def test_parse_instance_round_trip():

@@ -10,13 +10,11 @@ from monoidpcsp.core import (
     cyclic,
     enumerate_homs,
     make_hom,
-    semilattice_chain,
 )
 from monoidpcsp.errors import (
     NonCommutingImages,
     SearchCapExceeded,
     ValidationError,
-    WitnessInvalid,
 )
 from monoidpcsp.model import (
     make_finite_template,
@@ -27,7 +25,6 @@ from monoidpcsp.model import (
 from monoidpcsp.polymorph import (
     HomPolymorphism,
     all_table_polymorphisms,
-    block_symmetric_from_witness,
     find_block_symmetric,
     is_polymorphism,
     is_satisfiable_in_pol,
@@ -142,25 +139,16 @@ def test_sum_polymorphism_on_residue_relations():
     assert not is_polymorphism(f, T1, T1)
 
 
-def test_block_symmetric_from_witness_intro():
+def test_find_block_symmetric_intro():
+    """The paper's introductory pair is tractable, and the search finds a
+    2-block symmetric polymorphism of it at arities 1, 3 and 5."""
     T = intro_nf_template()
     target = make_finite_template(cyclic(3), 3, nonconstant_triples(3))
-    c = classify(T, target)
-    assert c.verdict == "Tractable"
+    assert classify(T, target).verdict == "Tractable"
     for i in (0, 1, 2):
-        f = block_symmetric_from_witness(c.witness, i)
+        f = find_block_symmetric(T, target, i)
         assert f.arity == 2 * i + 1
         assert is_polymorphism(f, T, target)
-
-
-def test_block_symmetric_rejects_bad_witness():
-    M = cyclic(3)
-    h = make_hom(semilattice_chain(2), M, (0, 0))
-    from monoidpcsp.core import flipflop1
-    homs = enumerate_homs(flipflop1(), flipflop1())
-    noncomm = next(h for h in homs if h.images == tuple(flipflop1().elements))
-    with pytest.raises(WitnessInvalid):
-        block_symmetric_from_witness(noncomm, 1)
 
 
 def test_find_block_symmetric():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from monoidpcsp.core import (
@@ -28,13 +30,12 @@ from monoidpcsp.regularize import (
     nf_element,
     nf_generator,
     nf_homs_to_finite,
-    nf_inverse,
     nf_power,
-    nf_semilattice_element,
     regular_retract,
     to_normal_form,
     verify_universal_property,
 )
+from monoidpcsp.sweep import monoid_sweep
 
 
 def monogenic(index, period):
@@ -51,6 +52,42 @@ def test_congruence_closure_collapses_products():
     # 0 ~ 2 forces 1 ~ 3 as well
     assert roots[1] == roots[3]
     assert len(set(roots)) == 2
+
+
+def test_congruence_closure_matches_the_fixpoint():
+    """The worklist closure against propagating every identified pair to a
+    fixpoint, on the abelianization pairs and seeded random pairs of each
+    monoid of the sweep."""
+    def fixpoint(M, pairs):
+        cls = list(M.elements)  # element -> least member of its class
+
+        def merge(x, y):
+            a, b = sorted((cls[x], cls[y]))
+            for z in M.elements:
+                if cls[z] == b:
+                    cls[z] = a
+            return a != b
+
+        for a, b in pairs:
+            merge(a, b)
+        changed = True
+        while changed:
+            changed = False
+            for a in M.elements:
+                for b in M.elements:
+                    if cls[a] == cls[b]:
+                        for c in M.elements:
+                            changed |= merge(M.mul(a, c), M.mul(b, c))
+                            changed |= merge(M.mul(c, a), M.mul(c, b))
+        return cls
+
+    rng = random.Random(11)
+    for M in monoid_sweep(6):
+        swapped = [(M.mul(a, b), M.mul(b, a))
+                   for a in M.elements for b in M.elements]
+        drawn = [(rng.randrange(M.size), rng.randrange(M.size)) for _ in range(2)]
+        for pairs in (swapped, drawn):
+            assert congruence_closure(M, pairs) == fixpoint(M, pairs), M.table
 
 
 def test_abelianization_is_commutative_quotient():
@@ -128,7 +165,7 @@ def test_integers_nf_arithmetic():
     two = Z.mul(one, one)
     assert two.v == (2,)
     assert nf_power(Z, one, 5) == nf_element(Z, 0, [5])
-    assert Z.mul(two, nf_inverse(Z, two)) == Z.identity
+    assert Z.mul(two, nf_power(Z, two, -1)) == Z.identity
     assert nf_power(Z, two, 0) == Z.identity
     assert two != one
 
@@ -170,7 +207,7 @@ def test_nf_semilattice_element():
     iso = to_normal_form(M, [1])
     NF = iso.nf
     d = iso.encode(1).d
-    e = nf_semilattice_element(NF, d)
+    e = nf_element(NF, d, [0] * NF.num_coords)
     assert NF.mul(e, e) == e
 
 
