@@ -336,6 +336,13 @@ def _in_range(no, value, bound, what):
         raise ParseError(no, f"{what} {value} out of range")
 
 
+def _count(no, value, what):
+    """Raise a ParseError for line no, naming the field, if the count value
+    is negative."""
+    if value < 0:
+        raise ParseError(no, f"{what} {value} is negative")
+
+
 def _parse_table(cur, keyword):
     """A Cayley table: a '<keyword> <size> <identity>' header and its rows."""
     size, identity = _fields(cur, keyword, 2)
@@ -351,7 +358,9 @@ def _parse_nf(cur):
     cur.take("nf")
     N = _parse_table(cur, "semilattice")
     size = N.size
-    (q,) = _fields(cur, "coords", 1)
+    no, toks = cur.take("coords")
+    (q,) = parse_ints(no, toks[1:], 1)
+    _count(no, q, "coordinate count")
     lam = [frozenset() for _ in range(size)]
     xi_gens = [[] for _ in range(size)]
     anchors = [None] * q
@@ -364,8 +373,7 @@ def _parse_nf(cur):
         elif toks[0] == "xi":
             d, count = parse_ints(no, toks[1:], 2)
             _in_range(no, d, size, "semilattice index")
-            if count < 0:
-                raise ParseError(no, f"row count {count} is negative")
+            _count(no, count, "row count")
             xi_gens[d].extend(parse_ints(*cur.take(), q) for _ in range(count))
         else:
             alpha, d = parse_ints(no, toks[1:], 2)
@@ -413,8 +421,7 @@ def _parse_rel_nf(cur, NF, arity):
     while not cur.done() and cur.peek()[1][0] == "block":
         no, toks = cur.take("block")
         (ngens,) = parse_ints(no, toks[1:], 1)
-        if ngens < 0:
-            raise ParseError(no, f"generator count {ngens} is negative")
+        _count(no, ngens, "generator count")
         d_tuple = _fields(cur, "d", arity)
         offset = _fields(cur, "offset", width)
         gens = [_fields(cur, "gen", width) for _ in range(ngens)]

@@ -185,6 +185,25 @@ def semilattice_leq(N, a, b):
     return N.mul(a, b) == a
 
 
+def covering_pairs(N):
+    """The pairs a < b of the semilattice order with nothing strictly
+    between.  Elements are scanned by the size of their down-sets, which
+    grows along the order, so b covers a exactly when a < b and no cover
+    of a found before b lies below b."""
+    elements = N.elements
+    size = {b: sum(semilattice_leq(N, a, b) for a in elements) for b in elements}
+    ordered = sorted(elements, key=size.__getitem__)
+    pairs = []
+    for a in elements:
+        covers = []
+        for b in ordered:
+            if (b != a and semilattice_leq(N, a, b)
+                    and not any(semilattice_leq(N, c, b) for c in covers)):
+                covers.append(b)
+        pairs += [(a, b) for b in covers]
+    return pairs
+
+
 def make_normal_form(semilattice, num_coords, lam, xi, anchors):
     if not is_semilattice(semilattice):
         raise MonoidError("carrier of a normal form must be a semilattice")
@@ -194,10 +213,11 @@ def make_normal_form(semilattice, num_coords, lam, xi, anchors):
     anchors = tuple(anchors)
     if len(lam) != N.size or len(xi) != N.size or len(anchors) != num_coords:
         raise MonoidError("normal form component sizes do not match")
-    for a in N.elements:
-        for b in N.elements:
-            if semilattice_leq(N, a, b) and not (lam[b] <= lam[a]):
-                raise MonoidError("coordinate supports are not monotone")
+    # inclusion is transitive, so monotonicity along the covering pairs is
+    # monotonicity along the whole order
+    covers = covering_pairs(N)
+    if any(not (lam[b] <= lam[a]) for a, b in covers):
+        raise MonoidError("coordinate supports are not monotone")
     for d in N.elements:
         L = xi[d]
         if L.ambient_dim != num_coords:
@@ -205,12 +225,10 @@ def make_normal_form(semilattice, num_coords, lam, xi, anchors):
         for row in L.basis:
             if any(row[j] != 0 for j in range(num_coords) if j not in lam[d]):
                 raise MonoidError("relation lattice not supported on lam(d)")
-    for a in N.elements:
-        for b in N.elements:
-            if semilattice_leq(N, a, b):
-                for row in xi[b].basis:
-                    if not lattice_member(list(row), xi[a]):
-                        raise MonoidError("relation lattices are not monotone")
+    for a, b in covers:
+        for row in xi[b].basis:
+            if not lattice_member(list(row), xi[a]):
+                raise MonoidError("relation lattices are not monotone")
     for alpha, d in enumerate(anchors):
         if alpha not in lam[d]:
             raise MonoidError(f"anchor of coordinate {alpha} does not support it")

@@ -6,6 +6,7 @@ Matrices are plain lists of lists of Python ints, so intermediate
 coefficient growth is handled by arbitrary precision automatically.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
@@ -126,10 +127,16 @@ def solve_integer(A, b):
     """Solve A*x = b over the integers.
 
     Returns None when unsolvable, otherwise (x0, kernel) where A*x0 = b and
-    kernel is a basis of {x : A*x = 0}.  With U*A^T = H in Hermite form,
-    A*U^T = H^T is in column echelon form: forward substitution along the
-    pivot rows of H gives y with H^T*y = b, and x0 = U^T*y.  The rows of U
-    past the rank span the kernel.
+    kernel is a basis of {x : A*x = 0}.
+
+    The equalities are first eliminated on sparse rows (Markowitz 1957):
+    repeatedly take a +-1 entry of least cost (row length - 1) *
+    (column count - 1), make it +1, and subtract its row from every other
+    row holding its column.  A pivot row fixes its variable integrally once
+    the later columns are known, so the rows left (the core) are solved by
+    :func:`_solve_dense` on the columns they hold, the columns in no row are
+    free, and x0 and the kernel are lifted back through the pivots in
+    reverse.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -137,7 +144,108 @@ def solve_integer(A, b):
         raise DimensionMismatch("right-hand side length mismatch")
     if any(len(r) != cols for r in A):
         raise DimensionMismatch("matrix rows have unequal lengths")
+    live, rhs = {}, list(b)
+    holders = [set() for _ in range(cols)]   # column -> live rows holding it
+    for i, row in enumerate(A):
+        entries = {j: a for j, a in enumerate(row) if a}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                holders[j].add(i)
+        elif rhs[i]:
+            return None
+    heap = []
+
+    def push(i):
+        row = live[i]
+        for j, a in row.items():
+            if a in (1, -1):
+                heapq.heappush(heap, ((len(row) - 1) * (len(holders[j]) - 1), i, j))
+
+    for i in live:
+        push(i)
+    pivots = []        # (column, row with coefficient 1 there, rhs)
+    while heap:
+        cost, p, j = heapq.heappop(heap)
+        row = live.get(p)
+        if row is None or row.get(j) not in (1, -1):
+            continue
+        now = (len(row) - 1) * (len(holders[j]) - 1)
+        if now != cost:
+            heapq.heappush(heap, (now, p, j))
+            continue
+        sign = row[j]
+        row = {k: sign * a for k, a in row.items()}
+        c = sign * rhs[p]
+        del live[p]
+        for k in row:
+            holders[k].discard(p)
+        pivots.append((j, row, c))
+        # every row whose cost may have fallen: the changed rows, and the
+        # rows of each column whose count fell
+        fallen = set(row)
+        changed = list(holders[j])
+        for i in changed:
+            target = live[i]
+            f = target[j]
+            for k, a in row.items():
+                v = target.get(k, 0) - f * a
+                if v:
+                    if k not in target:
+                        holders[k].add(i)
+                    target[k] = v
+                else:
+                    del target[k]
+                    holders[k].discard(i)
+                    fallen.add(k)
+            rhs[i] -= f * c
+            if not target:
+                if rhs[i]:
+                    return None
+                del live[i]
+        for i in set(changed).union(*(holders[k] for k in fallen)):
+            if i in live:
+                push(i)
+    core_rows = sorted(live)
+    core_cols = sorted({j for i in core_rows for j in live[i]})
+    core_x0, core_kernel = [], []
+    if core_rows:
+        solved = _solve_dense([[live[i].get(j, 0) for j in core_cols]
+                               for i in core_rows], [rhs[i] for i in core_rows])
+        if solved is None:
+            return None
+        core_x0, core_kernel = solved
+
+    def lift(x, homogeneous):
+        # x holds the core and free columns; each pivot row, last first,
+        # sets its own column
+        for j, row, c in reversed(pivots):
+            x[j] = (0 if homogeneous else c) - sum(a * x[k] for k, a in row.items())
+        return x
+
+    def on_core(values):
+        x = [0] * cols
+        for j, v in zip(core_cols, values):
+            x[j] = v
+        return x
+
+    pivot_cols = {j for j, _, _ in pivots}
+    free = [j for j in range(cols) if j not in pivot_cols and not holders[j]]
+    kernel = [lift(on_core(v), True) for v in core_kernel]
+    kernel += [lift([int(k == j) for k in range(cols)], True) for j in free]
+    return lift(on_core(core_x0), False), kernel
+
+
+def _solve_dense(A, b):
+    """Solve A*x = b over the integers by one Hermite form, as
+    :func:`solve_integer` does on its core.
+
+    With U*A^T = H in Hermite form, A*U^T = H^T is in column echelon form:
+    forward substitution along the pivot rows of H gives y with H^T*y = b,
+    and x0 = U^T*y.  The rows of U past the rank span the kernel.
+    """
     H, U = hermite_normal_form(_transpose(A))
+    cols = len(A[0])
     residual = list(b)
     x0 = [0] * cols
     rank = 0

@@ -128,6 +128,9 @@ BAD_INPUTS = {
     "nf-block-negative": _solve_nf(NF_TEXT.replace("block 0", "block -1")),
     "nf-xi-negative": _solve_nf(NF_TEXT.replace("anchor", "xi 0 -1\nanchor")),
     "nf-anchor-range": _solve_nf(NF_TEXT.replace("anchor 0 0", "anchor 0 7")),
+    "nf-coords-negative": _solve_nf(NF_TEXT.replace("coords 1", "coords -1")),
+    "nf-coords-negative-bare": _solve_nf(
+        NF_TEXT.replace("coords 1", "coords -1").replace("anchor 0 0\n", "")),
     "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
     "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
 }
@@ -159,6 +162,13 @@ def test_bad_input_exits_2_with_one_error_line(name, tmp_path, capsys):
 def test_bad_nf_field_error_names_its_line(name, tmp_path, capsys):
     main(_write(*BAD_INPUTS[name], tmp_path))
     assert capsys.readouterr().err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("name", ["nf-coords-negative",
+                                  "nf-coords-negative-bare"])
+def test_negative_coords_error_names_the_coords_line(name, tmp_path, capsys):
+    assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: coordinate count")
 
 
 def test_caps_must_be_positive(tmp_path, capsys):
@@ -245,6 +255,17 @@ def test_keyword_carrier_order_is_bounded(tmp_path, deadline):
             assert run(["coset-closure", "--template", str(rel)]) == (2, "")
     rel.write_text("cyclic:1024\nrel 1\ntuple 1\n")
     assert run(["coset-closure", "--template", str(rel)]) == (0, "size 1\ntuple 1\n")
+
+
+def test_solve_on_a_long_chain_keyword(tmp_path, deadline):
+    """Normal-form monotonicity is checked on the covering pairs of the
+    chain's order, not on all of its pairs a <= b."""
+    rel = tmp_path / "chain.mon"
+    rel.write_text("semilattice:chain:64\nrel 1\ntuple 0\ntuple 1\n")
+    with deadline(2):
+        code, out = run(["solve", "--template", str(rel),
+                         "--instance", data("empty.inst")])
+    assert (code, out) == (0, "sat\n")
 
 
 def test_classify_on_a_long_chain_keyword(tmp_path, deadline):

@@ -25,6 +25,7 @@ from monoidpcsp.regularize import (
     ab_reg,
     abelianization,
     congruence_closure,
+    covering_pairs,
     integers_nf,
     make_normal_form,
     nf_element,
@@ -32,10 +33,12 @@ from monoidpcsp.regularize import (
     nf_homs_to_finite,
     nf_power,
     regular_retract,
+    semilattice_leq,
     to_normal_form,
     verify_universal_property,
 )
-from monoidpcsp.sweep import monoid_sweep
+from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
+from monoidpcsp.zlinalg import lattice_from_generators, lattice_member
 
 
 def monogenic(index, period):
@@ -157,6 +160,74 @@ def test_make_normal_form_validates_monotonicity():
         # support must shrink downward: lambda(identity) > lambda(bottom)
         make_normal_form(N, 1, [frozenset({0}), frozenset()],
                          [zero, zero], [1])
+
+
+def all_pairs_verdict(N, q, lam, xi, anchors):
+    """The error make_normal_form raises, or None, with monotonicity checked
+    on every pair a <= b of the semilattice."""
+    pairs = [(a, b) for a in N.elements for b in N.elements
+             if semilattice_leq(N, a, b)]
+    if any(not lam[b] <= lam[a] for a, b in pairs):
+        return "coordinate supports are not monotone"
+    if any(row[j] for d in N.elements for row in xi[d].basis
+           for j in range(q) if j not in lam[d]):
+        return "relation lattice not supported on lam(d)"
+    if any(not lattice_member(list(row), xi[a])
+           for a, b in pairs for row in xi[b].basis):
+        return "relation lattices are not monotone"
+    if any(alpha not in lam[d] for alpha, d in enumerate(anchors)):
+        return "anchor"
+    return None
+
+
+def test_covering_pairs_are_the_pairs_with_nothing_between():
+    semilattices = [to_normal_form(M, minimal_generating_set(M)).nf.semilattice
+                    for M in commutative_regular_sweep(4)]
+    semilattices += [semilattice_chain(5),
+                     direct_product(semilattice_chain(2), semilattice_chain(3))]
+    for N in semilattices:
+        less = {(a, b) for a in N.elements for b in N.elements
+                if a != b and semilattice_leq(N, a, b)}
+        covers = {(a, b) for a, b in less
+                  if not any((a, c) in less and (c, b) in less for c in N.elements)}
+        assert sorted(covering_pairs(N)) == sorted(covers)
+
+
+def test_monotonicity_on_covers_agrees_with_all_pairs():
+    """On the normal forms of the commutative completely regular monoids of
+    order up to 4, and on seeded corruptions of their lambda and xi, the
+    verdict of make_normal_form is the all-pairs one."""
+    rng = random.Random(37)
+    verdicts = set()
+    for M in commutative_regular_sweep(4):
+        NF = to_normal_form(M, minimal_generating_set(M)).nf
+        N, q = NF.semilattice, NF.num_coords
+        for trial in range(12):
+            lam, xi = list(NF.lam), list(NF.xi)
+            if trial:
+                d, e = rng.randrange(N.size), rng.randrange(N.size)
+                k = rng.randrange(3)
+                if k == 0:
+                    lam[d], lam[e] = lam[e], lam[d]
+                elif k == 1:
+                    xi[d], xi[e] = xi[e], xi[d]
+                else:
+                    gen = [rng.randint(-2, 2) if j in lam[d] else 0
+                           for j in range(q)]
+                    xi[d] = lattice_from_generators(q, [gen])
+            want = all_pairs_verdict(N, q, lam, xi, NF.anchors)
+            try:
+                make_normal_form(N, q, lam, xi, NF.anchors)
+                got = None
+            except MonoidError as e:
+                got = str(e)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.startswith(want)
+            verdicts.add(want)
+    assert {None, "coordinate supports are not monotone",
+            "relation lattices are not monotone"} <= verdicts
 
 
 def test_integers_nf_arithmetic():

@@ -200,17 +200,32 @@ def planted_intro_instance(rng, n):
     return make_instance(n, cs)
 
 
-def test_shuffled_planted_instances_solve(deadline):
+def intro_m_template():
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "monoidpcsp", "data", "intro_M.nf")
     with open(path, encoding="utf-8") as fh:
-        T = parse_template(fh.read())
+        return parse_template(fh.read())
+
+
+def test_shuffled_planted_instances_solve(deadline):
+    T = intro_m_template()
     rng = random.Random(29)
     for _ in range(6):
         I = planted_intro_instance(rng, rng.randint(24, 40))
         with deadline(10):
             sol = solve_tractable(T, I)
         assert sol is not None and check_assignment(T, I, sol)
+
+
+def test_shuffled_planted_instance_at_scale(deadline):
+    """The sparse presolve of the integer layer leaves the dense Hermite
+    form a small core.  A dense Hermite form of the whole system took about
+    40 s on this instance."""
+    T = intro_m_template()
+    I = planted_intro_instance(random.Random(41), 320)
+    with deadline(5):
+        sol = solve_tractable(T, I)
+    assert sol is not None and check_assignment(T, I, sol)
 
 
 def test_finite_template_to_nf_preserves_relation():

@@ -6,6 +6,7 @@ import pytest
 from monoidpcsp.errors import DimensionMismatch
 from monoidpcsp.zlinalg import (
     LatticeCoset,
+    _solve_dense,
     coset_member,
     hermite_normal_form,
     lattice_from_generators,
@@ -143,6 +144,68 @@ def test_solve_integer_against_boxed_brute_force():
             assert all(sum(A[i][j] * x0[j] for j in range(cols)) == b[i]
                        for i in range(rows))
             assert any(abs(v) > 6 for v in x0)
+
+
+def sparse_matrix(rng, rows, cols):
+    """Mostly zero, mostly +-1, with some entries of 2 or 3."""
+    entries = [1, -1, 1, -1, 1, -1, 2, -2, 3, -3]
+    return [[rng.choice(entries) if rng.random() < 0.35 else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def kernel_hnf(cols, K):
+    return lattice_from_generators(cols, K).basis
+
+
+def check_solution(A, b, got):
+    """got is a solution with a kernel basis of the right size."""
+    cols = len(A[0])
+    x0, K = got
+    assert [sum(a * x for a, x in zip(row, x0)) for row in A] == list(b)
+    for k in K:
+        assert len(k) == cols
+        assert not any(sum(a * x for a, x in zip(row, k)) for row in A)
+    rank = sum(any(r) for r in hermite_normal_form(A)[0])
+    assert len(K) == cols - rank
+
+
+def test_presolve_agrees_with_the_dense_solve():
+    rng = random.Random(31)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 10)
+        A = sparse_matrix(rng, rows, cols)
+        if rng.random() < 0.5:
+            planted = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [sum(a * x for a, x in zip(row, planted)) for row in A]
+        else:
+            b = [rng.randint(-3, 3) for _ in range(rows)]
+        got, ref = solve_integer(A, b), _solve_dense(A, b)
+        assert (got is None) == (ref is None), (A, b)
+        if got is None:
+            continue
+        check_solution(A, b, got)
+        x0, K = got
+        assert kernel_hnf(cols, K) == kernel_hnf(cols, ref[1])
+        L = lattice_from_generators(cols, K)
+        assert lattice_member([a - c for a, c in zip(x0, ref[0])], L)
+
+
+def test_presolve_finds_an_inconsistent_row():
+    # subtracting the first row from the second leaves 0 = 1
+    A, b = [[1, 1, 0], [1, 1, 0], [0, 2, 3]], [1, 2, 0]
+    assert solve_integer(A, b) is None
+    assert _solve_dense(A, b) is None
+
+
+def test_presolve_with_no_core_left():
+    # both rows are pivot rows: columns 2 and 3 are free, and the kernel
+    # is their two lifted unit vectors
+    A, b = [[1, 0, 2, 1], [0, -1, 3, -1]], [3, 1]
+    got = solve_integer(A, b)
+    check_solution(A, b, got)
+    _, K = got
+    assert sorted(k[2:] for k in K) == [[0, 1], [1, 0]]
+    assert kernel_hnf(4, K) == kernel_hnf(4, _solve_dense(A, b)[1])
 
 
 def test_solve_integer_dimension_mismatch():
