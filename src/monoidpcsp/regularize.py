@@ -10,12 +10,12 @@ from .core import (
     CartesianPower,
     FiniteMonoid,
     MonoidHom,
+    closed_under,
     commute,
     d_of,
     enumerate_homs,
     eval_exponents,
     generated_subset,
-    green_leq,
     idempotents,
     inverse,
     is_commutative,
@@ -26,7 +26,6 @@ from .core import (
     power_walk,
     submonoid,
 )
-from .cosets import setprod
 from .errors import (
     MonoidError,
     NotCommutative,
@@ -315,8 +314,11 @@ def to_normal_form(M, generators):
     lam = []
     for d_new in N.elements:
         od = idem_of_new[d_new]
+        # od lies in gM iff od*e_g = od, as M is commutative and completely
+        # regular: od = g*c gives od*e_g = od, and od*e_g = od gives
+        # od = g*(g^-1*od)
         lam.append(frozenset(alpha for alpha, g in enumerate(gens)
-                             if green_leq(M, od, g)))
+                             if M.mul(od, d_of(M, g)) == od))
     # per-idempotent evaluation boxes: exponent vectors modulo element orders
     xi = []
     encode_of = {}
@@ -426,8 +428,7 @@ def nf_relation_image(h, T):
                       for i in range(r))
             words.append(w)
             words.append(tuple(inverse(F, a) for a in w))
-        subgroup = generated_subset(P, words)
-        out.update(setprod(P, {o}, subgroup))
+        out.update(closed_under(P, (o,), words))
     return frozenset(out)
 
 

@@ -97,8 +97,9 @@ class SigmaSystem:
 
     Columns 0 .. var_count*q - 1 hold the coordinate vectors v^x; further
     columns hold fresh multipliers for relation-lattice generators.  A row is
-    (coefficients, rhs).  missing_block records a relation constraint whose
-    projected d-tuple has no block, which forecloses solvability.
+    a tuple of non-zero (column, coefficient) pairs by ascending column.
+    missing_block records a relation constraint with no block for its
+    projected d-tuple, which forecloses solvability.
     """
 
     var_count: int
@@ -113,7 +114,7 @@ def build_sigma(T, I, h):
     NF = T.carrier
     q = NF.num_coords
     base = I.var_count * q
-    rows = []          # list of (dict col -> coeff, rhs int)
+    rows = []          # (dict col -> coeff, rhs); zeros dropped below
     multipliers = 0
     blocks = {b.d_tuple: b.coset for b in T.relation}
 
@@ -138,9 +139,7 @@ def build_sigma(T, I, h):
                 for cc, s in ((col(c.x, alpha), 1), (col(c.y, alpha), 1),
                               (col(c.z, alpha), -1)):
                     coeffs[cc] = coeffs.get(cc, 0) + s
-                for k, u in enumerate(W):
-                    if u[alpha]:
-                        coeffs[start + k] = -u[alpha]
+                coeffs.update((start + k, -u[alpha]) for k, u in enumerate(W))
                 rows.append((coeffs, 0))
         else:
             d_tuple = tuple(h[v] for v in c.vars)
@@ -153,14 +152,11 @@ def build_sigma(T, I, h):
             multipliers += len(V)
             for i, v in enumerate(c.vars):
                 for alpha in range(q):
-                    coeffs = {col(v, alpha): 1}
                     pos = i * q + alpha
-                    for k, u in enumerate(V):
-                        if u[pos]:
-                            coeffs[start + k] = coeffs.get(start + k, 0) - u[pos]
+                    coeffs = {col(v, alpha): 1}
+                    coeffs.update((start + k, -u[pos]) for k, u in enumerate(V))
                     rows.append((coeffs, coset.offset[pos]))
-    width = base + multipliers
-    matrix = tuple(tuple(coeffs.get(j, 0) for j in range(width))
+    matrix = tuple(tuple(sorted((j, a) for j, a in coeffs.items() if a))
                    for coeffs, _ in rows)
     rhs = tuple(r for _, r in rows)
     return SigmaSystem(I.var_count, q, multipliers, matrix, rhs, missing)
@@ -196,13 +192,14 @@ def solve_tractable(T, I):
     if system.missing_block is not None:
         return None
     q = NF.num_coords
+    cols = I.var_count * q + system.num_multipliers
+    x0 = [0] * cols
+    # with no rows, solve_integer's kernel is cols dense unit vectors
     if system.matrix:
-        solved = solve_integer(system.matrix, system.rhs)
+        solved = solve_integer(system.matrix, system.rhs, cols)
         if solved is None:
             return None
         x0, _ = solved
-    else:
-        x0 = [0] * (I.var_count * q + system.num_multipliers)
     assignment = [nf_element(NF, h[x], x0[x * q:(x + 1) * q])
                   for x in range(I.var_count)]
     if iso is not None:

@@ -8,6 +8,7 @@ coefficient growth is handled by arbitrary precision automatically.
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionMismatch
 
@@ -123,11 +124,12 @@ def smith_normal_form(A):
         P = mat_mul(W, P)
 
 
-def solve_integer(A, b):
-    """Solve A*x = b over the integers.
+def solve_integer(A, b, cols):
+    """Solve A*x = b over the integers, x in Z^cols.
 
-    Returns None when unsolvable, otherwise (x0, kernel) where A*x0 = b and
-    kernel is a basis of {x : A*x = 0}.
+    A row of A is (column, coefficient) pairs, as in SigmaSystem.  Returns
+    None when unsolvable, otherwise (x0, kernel) where A*x0 = b and kernel
+    is a basis of {x : A*x = 0}.
 
     The equalities are first eliminated on sparse rows (Markowitz 1957):
     repeatedly take a +-1 entry of least cost (row length - 1) *
@@ -138,16 +140,14 @@ def solve_integer(A, b):
     free, and x0 and the kernel are lifted back through the pivots in
     reverse.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if len(b) != rows:
+    if len(b) != len(A):
         raise DimensionMismatch("right-hand side length mismatch")
-    if any(len(r) != cols for r in A):
-        raise DimensionMismatch("matrix rows have unequal lengths")
     live, rhs = {}, list(b)
     holders = [set() for _ in range(cols)]   # column -> live rows holding it
     for i, row in enumerate(A):
-        entries = {j: a for j, a in enumerate(row) if a}
+        entries = dict(row)
+        if any(not 0 <= j < cols for j in entries):
+            raise DimensionMismatch("matrix column out of range")
         if entries:
             live[i] = entries
             for j in entries:
@@ -279,6 +279,11 @@ class Lattice:
     ambient_dim: int
     basis: tuple
 
+    @cached_property
+    def pivots(self):
+        """The pivot column of each basis row, found once per lattice."""
+        return tuple(_pivot_col(row) for row in self.basis)
+
 
 def lattice_from_generators(ambient_dim, generators):
     gens = [list(g) for g in generators]
@@ -304,8 +309,7 @@ def reduce_mod_lattice(v, L):
     if len(v) != L.ambient_dim:
         raise DimensionMismatch("vector has wrong length")
     w = list(v)
-    for row in L.basis:
-        p = _pivot_col(row)
+    for row, p in zip(L.basis, L.pivots):
         q = w[p] // row[p]
         if q:
             w = [a - q * b for a, b in zip(w, row)]

@@ -3,6 +3,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from monoidpcsp.zlinalg import solve_integer
+
 
 @pytest.fixture
 def deadline():
@@ -29,3 +31,15 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return arm
+
+
+@pytest.fixture
+def solve_matrix():
+    """``solve_matrix(A, b)`` is :func:`solve_integer` on a dense matrix A,
+    passed as the (column, coefficient) rows that it reads."""
+
+    def solve(A, b):
+        rows = [tuple((j, a) for j, a in enumerate(row) if a) for row in A]
+        return solve_integer(rows, b, len(A[0]))
+
+    return solve

@@ -49,7 +49,7 @@ from monoidpcsp.sweep import (
     commutative_sweep,
     monoid_sweep,
 )
-from monoidpcsp.zlinalg import hermite_normal_form, smith_normal_form, solve_integer
+from monoidpcsp.zlinalg import hermite_normal_form, smith_normal_form
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
                     "src", "monoidpcsp", "data")
@@ -318,7 +318,7 @@ def test_acceptance_7_classifier_consistency(capsys):
            violations == 0 and pairs == len(templates) ** 2, capsys)
 
 
-def test_acceptance_8_integer_linear_algebra(capsys):
+def test_acceptance_8_integer_linear_algebra(capsys, solve_matrix):
     """On 500 seeded random matrices: normal form reconstruction identities,
     the divisibility chain, and agreement of the system solver with boxed
     brute force on the small-dimension subset."""
@@ -348,7 +348,7 @@ def test_acceptance_8_integer_linear_algebra(capsys):
                 (x for x in product(range(-6, 7), repeat=cols)
                  if all(sum(A[i][j] * x[j] for j in range(cols)) == b[i]
                         for i in range(rows))), None)
-            got = solve_integer(A, b)
+            got = solve_matrix(A, b)
             if brute is not None and got is None:
                 failures += 1
             if got is not None:

@@ -5,9 +5,12 @@ import pytest
 from monoidpcsp.core import (
     FiniteMonoid,
     cyclic,
+    d_of,
     direct_product,
     enumerate_homs,
     flipflop1,
+    green_leq,
+    idempotents,
     is_commutative,
     is_completely_regular,
     is_hom_map,
@@ -264,6 +267,23 @@ def test_to_normal_form_round_trip():
                 lhs = iso.encode(M.mul(a, b))
                 rhs = iso.nf.mul(iso.encode(a), iso.encode(b))
                 assert lhs == rhs
+
+
+def test_lambda_from_the_idempotent_order_agrees_with_green_leq():
+    """On a commutative completely regular M, an idempotent e lies in gM
+    exactly when e*e_g = e; green_leq is the reference.  to_normal_form
+    reads lambda from the idempotent order."""
+    pairs = 0
+    for M in commutative_regular_sweep(6):
+        for e in idempotents(M):
+            for g in M.elements:
+                assert (M.mul(e, d_of(M, g)) == e) == green_leq(M, e, g)
+                pairs += 1
+        iso = to_normal_form(M, minimal_generating_set(M))
+        for d, od in enumerate(iso.idem_of_new):
+            assert iso.nf.lam[d] == {alpha for alpha, g in enumerate(iso.generators)
+                                     if green_leq(M, od, g)}
+    assert pairs == 732
 
 
 def test_to_normal_form_trivial():

@@ -4,8 +4,21 @@ import os
 
 from monoidpcsp.core import cyclic
 from monoidpcsp.cosets import coset_closure
+from monoidpcsp.model import parse_instance, parse_template
+from monoidpcsp.solver import (
+    build_sigma,
+    minimal_homomorphism,
+    projected_semilattice_template,
+)
+from monoidpcsp.zlinalg import solve_integer
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "monoidpcsp", "data")
+
+
+def read(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load_spans():
@@ -33,3 +46,32 @@ def test_traced_sizes_read_the_results():
     size_of = {(m, a): f for m, a, f in load_spans().TRACED}
     members = size_of[("monoidpcsp.cosets", "coset_closure")]
     assert members(coset_closure(cyclic(6), {0, 2})) == 3
+
+
+
+def sigma(T, I):
+    h = minimal_homomorphism(projected_semilattice_template(T), I)
+    system = build_sigma(T, I, h)
+    return system, I.var_count * system.num_coords + system.num_multipliers
+
+
+def test_sigma_sizes_read_real_systems():
+    """The size readers of build_sigma and solve_integer on systems over
+    intro_M.nf count what is there: the rows, columns and non-zero
+    coefficients of Sigma, and the largest entry of x0 (0 when unsolvable,
+    as intro.inst is)."""
+    size_of = {(m, a): f for m, a, f in load_spans().TRACED}
+    shape = size_of[("monoidpcsp.solver", "build_sigma")]
+    bits = size_of[("monoidpcsp.zlinalg", "solve_integer")]
+    T = parse_template(read("intro_M.nf"))
+    system, cols = sigma(T, parse_instance(read("intro.inst")))
+    for row in system.matrix:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(0 <= j < cols for j in columns)
+    nonzeros = sum(a != 0 for row in system.matrix for _, a in row)
+    assert shape(system) == (len(system.rhs), cols, nonzeros)
+    assert bits(solve_integer(system.matrix, system.rhs, cols)) == 0
+    system, cols = sigma(T, parse_instance("instance 4\nREL 0 1 2\nMUL 0 1 3\n"))
+    x0, _ = solved = solve_integer(system.matrix, system.rhs, cols)
+    assert bits(solved) == max(abs(a).bit_length() for a in x0) > 0

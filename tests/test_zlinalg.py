@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from monoidpcsp import zlinalg
 from monoidpcsp.errors import DimensionMismatch
 from monoidpcsp.zlinalg import (
     LatticeCoset,
@@ -105,16 +106,16 @@ def test_snf_invariant_under_unimodular_factors():
         assert [r[:] for r in S1] == [r[:] for r in S0]
 
 
-def test_solve_integer_examples():
-    x0, K = solve_integer([[2]], [4])
+def test_solve_integer_examples(solve_matrix):
+    x0, K = solve_matrix([[2]], [4])
     assert x0 == [2] and K == []
-    assert solve_integer([[2]], [3]) is None
-    x0, K = solve_integer([[1, 1]], [5])
+    assert solve_matrix([[2]], [3]) is None
+    x0, K = solve_matrix([[1, 1]], [5])
     assert sum(x0) == 5
     assert len(K) == 1 and sum(K[0]) == 0 and K[0] != [0, 0]
 
 
-def test_solve_integer_against_boxed_brute_force():
+def test_solve_integer_against_boxed_brute_force(solve_matrix):
     rng = random.Random(23)
     for _ in range(120):
         rows, cols = rng.randint(1, 3), rng.randint(1, 3)
@@ -123,7 +124,7 @@ def test_solve_integer_against_boxed_brute_force():
         boxed = [list(x) for x in product(range(-6, 7), repeat=cols)
                  if all(sum(A[i][j] * x[j] for j in range(cols)) == b[i]
                         for i in range(rows))]
-        got = solve_integer(A, b)
+        got = solve_matrix(A, b)
         if boxed:
             assert got is not None
             x0, K = got
@@ -169,7 +170,7 @@ def check_solution(A, b, got):
     assert len(K) == cols - rank
 
 
-def test_presolve_agrees_with_the_dense_solve():
+def test_presolve_agrees_with_the_dense_solve(solve_matrix):
     rng = random.Random(31)
     for _ in range(400):
         rows, cols = rng.randint(1, 8), rng.randint(1, 10)
@@ -179,7 +180,7 @@ def test_presolve_agrees_with_the_dense_solve():
             b = [sum(a * x for a, x in zip(row, planted)) for row in A]
         else:
             b = [rng.randint(-3, 3) for _ in range(rows)]
-        got, ref = solve_integer(A, b), _solve_dense(A, b)
+        got, ref = solve_matrix(A, b), _solve_dense(A, b)
         assert (got is None) == (ref is None), (A, b)
         if got is None:
             continue
@@ -190,29 +191,30 @@ def test_presolve_agrees_with_the_dense_solve():
         assert lattice_member([a - c for a, c in zip(x0, ref[0])], L)
 
 
-def test_presolve_finds_an_inconsistent_row():
+def test_presolve_finds_an_inconsistent_row(solve_matrix):
     # subtracting the first row from the second leaves 0 = 1
     A, b = [[1, 1, 0], [1, 1, 0], [0, 2, 3]], [1, 2, 0]
-    assert solve_integer(A, b) is None
+    assert solve_matrix(A, b) is None
     assert _solve_dense(A, b) is None
 
 
-def test_presolve_with_no_core_left():
+def test_presolve_with_no_core_left(solve_matrix):
     # both rows are pivot rows: columns 2 and 3 are free, and the kernel
     # is their two lifted unit vectors
     A, b = [[1, 0, 2, 1], [0, -1, 3, -1]], [3, 1]
-    got = solve_integer(A, b)
+    got = solve_matrix(A, b)
     check_solution(A, b, got)
     _, K = got
     assert sorted(k[2:] for k in K) == [[0, 1], [1, 0]]
     assert kernel_hnf(4, K) == kernel_hnf(4, _solve_dense(A, b)[1])
 
 
-def test_solve_integer_dimension_mismatch():
+def test_solve_integer_dimension_mismatch(solve_matrix):
     with pytest.raises(DimensionMismatch):
-        solve_integer([[1, 2]], [1, 2])
-    with pytest.raises(DimensionMismatch):
-        solve_integer([[1, 2], [3]], [1, 2])
+        solve_matrix([[1, 2]], [1, 2])
+    for row in (((0, 1), (2, 3)), ((-1, 1),)):
+        with pytest.raises(DimensionMismatch):
+            solve_integer([row], [1], 2)
 
 
 def test_lattice_membership():
@@ -234,6 +236,21 @@ def test_reduce_mod_lattice_is_canonical():
     r2 = reduce_mod_lattice([1, 1], L)
     assert r1 == r2
     assert lattice_member([5 - r1[0], 7 - r1[1]], L)
+
+
+def test_reduce_mod_lattice_finds_the_pivots_once(monkeypatch):
+    calls, pivot_col = [], zlinalg._pivot_col
+
+    def counted(row):
+        calls.append(row)
+        return pivot_col(row)
+
+    monkeypatch.setattr(zlinalg, "_pivot_col", counted)
+    L = lattice_from_generators(3, [[2, 1, 0], [0, 3, 1]])
+    assert lattice_member([2, 4, 1], L)
+    assert len(calls) == len(L.basis)
+    assert not lattice_member([2, 4, 0], L)
+    assert len(calls) == len(L.basis)
 
 
 def test_zero_lattice_membership_is_equality():
