@@ -8,6 +8,7 @@ spaces to tabs for machine consumption.
 """
 
 import argparse
+import functools
 import sys
 
 from .classify import classify
@@ -164,7 +165,10 @@ def cmd_coset_closure(args, out):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing never changes
+    it."""
     p = argparse.ArgumentParser(
         prog="monoidpcsp",
         description="Promise equation templates over monoids: classification "

@@ -245,7 +245,11 @@ def is_completely_regular(M):
 def inverse(M, a):
     """Group inverse of a regular element inside its maximal subgroup: the
     power a^(m-1) just below the idempotent power a^m, or a itself when a is
-    idempotent."""
+    idempotent.  A carrier with an inverse of its own (a CartesianPower)
+    computes it there."""
+    own = getattr(M, "inverse", None)
+    if own is not None:
+        return own(a)
     walk = power_walk(M, a)
     if M.mul(walk[-1], a) != a:
         raise NotRegular(a)
@@ -356,7 +360,9 @@ def minimal_generating_set(M):
 class CartesianPower:
     """Coordinatewise monoid structure on n-tuples over a finite monoid.
 
-    The arithmetic never builds the full table.
+    The arithmetic never builds the full table: a product reads the base
+    table coordinate by coordinate, and the group inverse of a tuple is the
+    tuple of its coordinates' inverses, each computed once per base element.
     """
 
     def __init__(self, M, n):
@@ -365,13 +371,28 @@ class CartesianPower:
         self.base = M
         self.n = n
         self.identity = (M.identity,) * n
+        self._inverse_of = {}
 
     @property
     def elements(self):
         return product(self.base.elements, repeat=self.n)
 
     def mul(self, xs, ys):
-        return tuple(self.base.mul(x, y) for x, y in zip(xs, ys))
+        table = self.base.table
+        return tuple([table[x][y] for x, y in zip(xs, ys)])
+
+    def inverse(self, xs):
+        """The group inverse of a tuple: it is regular exactly when every
+        coordinate is, and raises NotRegular naming the whole tuple when one
+        is not."""
+        inv = self._inverse_of
+        try:
+            for x in xs:
+                if x not in inv:
+                    inv[x] = inverse(self.base, x)
+        except NotRegular:
+            raise NotRegular(xs) from None
+        return tuple([inv[x] for x in xs])
 
 
 def direct_product(M, N):

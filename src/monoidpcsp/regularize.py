@@ -411,8 +411,15 @@ def nf_hom_image(h):
 
 def nf_relation_image(h, T):
     """h(R) for an NF template relation, as a finite tuple set over the
-    target: per block, the image of the offset times the subgroup generated
-    by the images of the lattice generators."""
+    target: per block, the image o of the offset times the subgroup
+    generated by the images W of the lattice generators.
+
+    That is the closure of {o} under W alone, not under W and W^-1.  Each
+    w in W is a product of the commuting regular generator images and their
+    inverses, so w lies in a subgroup of F^r, of some finite order m there.
+    Then w^-1 = w^j with j >= 1: j = m - 1 when m >= 2, and j = 1 when w is
+    idempotent.  A word in W and W^-1 therefore equals a word in W, and the
+    closure of {o} under W already holds o * w^-1."""
     NF, F = h.source, h.target
     r, q = T.arity, NF.num_coords
     P = CartesianPower(F, r)
@@ -422,12 +429,9 @@ def nf_relation_image(h, T):
             h(nf_element(NF, block.d_tuple[i],
                          block.coset.offset[i * q:(i + 1) * q]))
             for i in range(r))
-        words = []
-        for u in block.coset.lattice.basis:
-            w = tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
-                      for i in range(r))
-            words.append(w)
-            words.append(tuple(inverse(F, a) for a in w))
+        words = [tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
+                       for i in range(r))
+                 for u in block.coset.lattice.basis]
         out.update(closed_under(P, (o,), words))
     return frozenset(out)
 

@@ -1,3 +1,5 @@
+import os
+import random
 from itertools import combinations, product
 
 import pytest
@@ -11,19 +13,41 @@ from monoidpcsp.classify import (
     sandwich_check,
 )
 from monoidpcsp.core import (
+    CartesianPower,
     FiniteMonoid,
+    closed_under,
     cyclic,
+    eval_exponents,
+    inverse,
     minimal_generating_set,
     semilattice_chain,
 )
+from monoidpcsp.cosets import coset_closure
 from monoidpcsp.errors import ArityMismatch, PromiseViolation
 from monoidpcsp.model import (
     Template,
     make_finite_template,
     make_nf_template,
+    parse_template,
 )
-from monoidpcsp.regularize import integers_nf, nf_homs_to_finite, to_normal_form
+from monoidpcsp.regularize import (
+    homs_into,
+    integers_nf,
+    nf_element,
+    nf_homs_to_finite,
+    to_normal_form,
+)
+from monoidpcsp.solver import finite_template_to_nf
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
+
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir,
+                    "src", "monoidpcsp", "data")
+
+
+def data_template(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return parse_template(fh.read())
 
 
 def nonconstant_triples(n):
@@ -114,6 +138,47 @@ def test_nf_relation_image_inside_target_relation():
     for h, image in pairs:
         assert image <= target.relation
         assert image == nf_relation_image(h, T)
+
+
+def relation_image_by_definition(h, T):
+    """h(R) per block as the image of the offset closed under the images W
+    of the lattice generators and their inverses W^-1."""
+    NF, F = h.source, h.target
+    r, q = T.arity, NF.num_coords
+    P = CartesianPower(F, r)
+    out = set()
+    for block in T.relation:
+        o = tuple(h(nf_element(NF, block.d_tuple[i],
+                               block.coset.offset[i * q:(i + 1) * q]))
+                  for i in range(r))
+        words = []
+        for u in block.coset.lattice.basis:
+            w = tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
+                      for i in range(r))
+            words += [w, tuple(inverse(F, a) for a in w)]
+        out |= closed_under(P, (o,), words)
+    return frozenset(out)
+
+
+def test_nf_relation_image_matches_its_definition():
+    """Closing under W alone gives the closure under W and W^-1: for every
+    hom from intro_M.nf into introN_2..9, and from the normal forms of small
+    commutative regular monoids, with a seeded coset relation, into every
+    monoid of size at most 3."""
+    T = data_template("intro_M.nf")
+    cases = [(T, h) for n in range(2, 10)
+             for h in homs_into(T.carrier, data_template(f"introN_{n}.mon").carrier)]
+    rng = random.Random(14)
+    for S in commutative_regular_sweep(3, unique=True):
+        P = CartesianPower(S, 2)
+        seeds = rng.sample(list(P.elements), rng.randint(1, 3))
+        T, _ = finite_template_to_nf(
+            make_finite_template(S, 2, coset_closure(P, seeds).members))
+        cases += [(T, h) for F in monoid_sweep(3, unique=True)
+                  for h in nf_homs_to_finite(T.carrier, F)]
+    assert len(cases) > 100
+    for T, h in cases:
+        assert nf_relation_image(h, T) == relation_image_by_definition(h, T)
 
 
 def unary_templates(M, max_rel=7):

@@ -26,6 +26,7 @@ from monoidpcsp.core import (
     null_extension,
     pi_I,
     pi_dagger,
+    power_walk,
     semilattice_chain,
     submonoid,
     validate_monoid,
@@ -37,7 +38,7 @@ from monoidpcsp.errors import (
     NotAssociative,
     NotRegular,
 )
-from monoidpcsp.sweep import monoid_sweep
+from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 
 
 def test_validate_accepts_cyclic():
@@ -112,26 +113,53 @@ def test_inverse_in_cyclic_group():
 
 def test_inverse_walks_the_powers_once():
     # a of order m: m squarings and m - 1 steps reach the idempotent a^m,
-    # and one more product tests a^m * a = a
-    class CountingPower(CartesianPower):
-        calls = 0
+    # and one more product tests a^m * a = a.  A tuple (a, a) walks the base
+    # powers of a once: its second coordinate reads the first one's inverse.
+    calls = []
 
-        def mul(self, xs, ys):
-            self.calls += 1
-            return super().mul(xs, ys)
+    class CountingMonoid(FiniteMonoid):
+        def mul(self, a, b):
+            calls.append((a, b))
+            return super().mul(a, b)
 
     for n in range(1, 10):
-        P = CountingPower(cyclic(n), 1)
+        M = CountingMonoid(cyclic(n).table, 0)
         for a in range(n):
             m = n // gcd(a, n)
-            P.calls = 0
-            assert inverse(P, (a,)) == ((-a) % n,)
-            assert P.calls <= 2 * m + 1
+            calls.clear()
+            assert inverse(M, a) == (-a) % n
+            assert len(calls) <= 2 * m + 1
+            calls.clear()
+            assert inverse(CartesianPower(M, 2), (a, a)) == ((-a) % n,) * 2
+            assert len(calls) <= 2 * m + 1
+
+
+def power_walk_inverse(P, t):
+    """The group inverse of t by walking the powers of the whole tuple: the
+    reference for the coordinatewise inverse of a CartesianPower."""
+    walk = power_walk(P, t)
+    if P.mul(walk[-1], t) != t:
+        raise NotRegular(t)
+    return walk[-2] if len(walk) > 1 else t
+
+
+def test_coordinatewise_inverse_is_the_power_walk_inverse():
+    for M in commutative_regular_sweep(4, unique=True):
+        P = CartesianPower(M, 2)
+        for t in P.elements:
+            assert inverse(P, t) == power_walk_inverse(P, t)
 
 
 def test_inverse_rejects_irregular_element():
     with pytest.raises(NotRegular):
         inverse(null_extension(), 1)
+    P = CartesianPower(null_extension(), 2)
+    assert inverse(P, (0, 2)) == (0, 2)
+    with pytest.raises(NotRegular) as err:
+        inverse(P, (0, 1))
+    assert err.value.witness == (0, 1)
+    with pytest.raises(NotRegular):
+        power_walk_inverse(P, (0, 1))
 
 
 def test_complete_regularity():

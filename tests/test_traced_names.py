@@ -2,9 +2,11 @@ import importlib
 import importlib.util
 import os
 
-from monoidpcsp.core import cyclic
-from monoidpcsp.cosets import coset_closure
+from monoidpcsp.classify import nf_relation_image, relation_preserving_homs
+from monoidpcsp.core import cyclic, enumerate_homs
+from monoidpcsp.cosets import coset_closure, generated_subset
 from monoidpcsp.model import parse_instance, parse_template
+from monoidpcsp.regularize import homs_into, nf_homs_to_finite
 from monoidpcsp.solver import (
     build_sigma,
     minimal_homomorphism,
@@ -43,9 +45,39 @@ def test_traced_names_resolve():
 
 
 def test_traced_sizes_read_the_results():
-    size_of = {(m, a): f for m, a, f in load_spans().TRACED}
-    members = size_of[("monoidpcsp.cosets", "coset_closure")]
-    assert members(coset_closure(cyclic(6), {0, 2})) == 3
+    """Each length and member-count reader accepts what its function really
+    returns on a small input, so a function that starts returning a
+    generator fails here rather than in a traced benchmark run."""
+    spans = load_spans()
+    T = parse_template(read("intro_M.nf"))
+    N = parse_template(read("introN_3.mon"))
+    nf_hom = homs_into(T.carrier, N.carrier)[0]
+    calls = {
+        ("monoidpcsp.classify", "relation_preserving_homs"):
+            lambda: relation_preserving_homs(T, N),
+        ("monoidpcsp.classify", "nf_relation_image"):
+            lambda: nf_relation_image(nf_hom, T),
+        ("monoidpcsp.core", "enumerate_homs"):
+            lambda: enumerate_homs(cyclic(3), cyclic(6)),
+        ("monoidpcsp.cosets", "generated_subset"):
+            lambda: generated_subset(cyclic(6), {2}),
+        ("monoidpcsp.cosets", "coset_closure"):
+            lambda: coset_closure(cyclic(6), {0, 2}),
+        ("monoidpcsp.regularize", "nf_homs_to_finite"):
+            lambda: nf_homs_to_finite(T.carrier, N.carrier),
+    }
+    readers = {(m, a): f for m, a, f in spans.TRACED
+               if f in (spans._length, spans._members)}
+    assert readers.keys() == calls.keys()
+    sizes = {key: readers[key](call()) for key, call in calls.items()}
+    assert sizes == {
+        ("monoidpcsp.classify", "relation_preserving_homs"): 2,
+        ("monoidpcsp.classify", "nf_relation_image"): 1,
+        ("monoidpcsp.core", "enumerate_homs"): 3,
+        ("monoidpcsp.cosets", "generated_subset"): 3,
+        ("monoidpcsp.cosets", "coset_closure"): 3,
+        ("monoidpcsp.regularize", "nf_homs_to_finite"): 3,
+    }
 
 
 
