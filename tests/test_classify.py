@@ -31,7 +31,6 @@ from monoidpcsp.model import (
     parse_template,
 )
 from monoidpcsp.regularize import (
-    homs_into,
     integers_nf,
     nf_element,
     nf_homs_to_finite,
@@ -167,7 +166,7 @@ def test_nf_relation_image_matches_its_definition():
     monoid of size at most 3."""
     T = data_template("intro_M.nf")
     cases = [(T, h) for n in range(2, 10)
-             for h in homs_into(T.carrier, data_template(f"introN_{n}.mon").carrier)]
+             for h in nf_homs_to_finite(T.carrier, data_template(f"introN_{n}.mon").carrier)]
     rng = random.Random(14)
     for S in commutative_regular_sweep(3, unique=True):
         P = CartesianPower(S, 2)

@@ -6,7 +6,7 @@ from monoidpcsp.classify import nf_relation_image, relation_preserving_homs
 from monoidpcsp.core import cyclic, enumerate_homs
 from monoidpcsp.cosets import coset_closure, generated_subset
 from monoidpcsp.model import parse_instance, parse_template
-from monoidpcsp.regularize import homs_into, nf_homs_to_finite
+from monoidpcsp.regularize import nf_homs_to_finite
 from monoidpcsp.solver import (
     build_sigma,
     minimal_homomorphism,
@@ -51,33 +51,27 @@ def test_traced_sizes_read_the_results():
     spans = load_spans()
     T = parse_template(read("intro_M.nf"))
     N = parse_template(read("introN_3.mon"))
-    nf_hom = homs_into(T.carrier, N.carrier)[0]
-    calls = {
+    nf_hom = nf_homs_to_finite(T.carrier, N.carrier)[0]
+    # (module, attribute) -> (a small call, the size its reader must give)
+    cases = {
         ("monoidpcsp.classify", "relation_preserving_homs"):
-            lambda: relation_preserving_homs(T, N),
+            (lambda: relation_preserving_homs(T, N), 2),
         ("monoidpcsp.classify", "nf_relation_image"):
-            lambda: nf_relation_image(nf_hom, T),
+            (lambda: nf_relation_image(nf_hom, T), 1),
         ("monoidpcsp.core", "enumerate_homs"):
-            lambda: enumerate_homs(cyclic(3), cyclic(6)),
+            (lambda: enumerate_homs(cyclic(3), cyclic(6)), 3),
         ("monoidpcsp.cosets", "generated_subset"):
-            lambda: generated_subset(cyclic(6), {2}),
+            (lambda: generated_subset(cyclic(6), {2}), 3),
         ("monoidpcsp.cosets", "coset_closure"):
-            lambda: coset_closure(cyclic(6), {0, 2}),
+            (lambda: coset_closure(cyclic(6), {0, 2}), 3),
         ("monoidpcsp.regularize", "nf_homs_to_finite"):
-            lambda: nf_homs_to_finite(T.carrier, N.carrier),
+            (lambda: nf_homs_to_finite(T.carrier, N.carrier), 3),
     }
     readers = {(m, a): f for m, a, f in spans.TRACED
                if f in (spans._length, spans._members)}
-    assert readers.keys() == calls.keys()
-    sizes = {key: readers[key](call()) for key, call in calls.items()}
-    assert sizes == {
-        ("monoidpcsp.classify", "relation_preserving_homs"): 2,
-        ("monoidpcsp.classify", "nf_relation_image"): 1,
-        ("monoidpcsp.core", "enumerate_homs"): 3,
-        ("monoidpcsp.cosets", "generated_subset"): 3,
-        ("monoidpcsp.cosets", "coset_closure"): 3,
-        ("monoidpcsp.regularize", "nf_homs_to_finite"): 3,
-    }
+    assert readers.keys() == cases.keys()
+    for key, (call, size) in cases.items():
+        assert readers[key](call()) == size, key
 
 
 
