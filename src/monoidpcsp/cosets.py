@@ -123,29 +123,33 @@ def _difference_monoid(ops, U):
     return gens, S
 
 
-def _coset_equation_holds(ops, U):
-    """U x (U^-1 x U) <= U for a set U of regular elements, stopping at the
-    first product outside U; the reverse inclusion holds as u*u^-1*u = u."""
-    seen = set()
-    for a in U:
-        a_inv = inverse(ops, a)
-        for b in U:
-            d = ops.mul(a_inv, b)
-            if d not in seen:
-                seen.add(d)
-                if any(ops.mul(u, d) not in U for u in U):
-                    return False
-    return True
-
-
 def is_coset(ops, U):
+    """Whether U is a coset: a set of regular elements with [U] = U.
+
+    [U] = U x <U^-1 x U> contains U, as the identity lies in <U^-1 x U>.
+    If U satisfies the coset equation U x (U^-1 x U) <= U, multiplying by
+    one difference at a time gives U x <U^-1 x U> <= U, so [U] = U;
+    conversely [U] = U gives U x (U^-1 x U) <= [U] = U.  The candidates
+    that :func:`coset_closure` keeps generate <U^-1 x U>, so [U] = U
+    exactly when U x g <= U for each kept g: U closed under them adds
+    nothing.  Each g is checked before the submonoid grows by it, so a set
+    that is not a coset is refused at its first product outside U, before
+    its closure, which may be far larger than U, is built.
+
+    The empty set is a coset; a set with an irregular member is not.
+    """
     _check_commutative(ops)
     U = frozenset(U)
-    if not U:
-        return True
-    if not all(is_regular_element(ops, a) for a in U):
+    S = frozenset((ops.identity,))
+    try:
+        for d in _difference_candidates(ops, U):
+            if d not in S:
+                if any(ops.mul(u, d) not in U for u in U):
+                    return False
+                S = closed_under(ops, S, (d,))
+    except NotRegular:
         return False
-    return _coset_equation_holds(ops, U)
+    return True
 
 
 def all_cosets(M):
@@ -155,7 +159,7 @@ def all_cosets(M):
     regular = [a for a in M.elements if is_regular_element(M, a)]
     for mask in range(1 << len(regular)):
         U = frozenset(regular[i] for i in range(len(regular)) if mask >> i & 1)
-        if _coset_equation_holds(M, U):
+        if is_coset(M, U):
             out.append(U)
     return out
 

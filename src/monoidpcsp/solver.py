@@ -193,13 +193,10 @@ def solve_tractable(T, I):
         return None
     q = NF.num_coords
     cols = I.var_count * q + system.num_multipliers
-    x0 = [0] * cols
-    # with no rows, solve_integer's kernel is cols dense unit vectors
-    if system.matrix:
-        solved = solve_integer(system.matrix, system.rhs, cols)
-        if solved is None:
-            return None
-        x0, _ = solved
+    solved = solve_integer(system.matrix, system.rhs, cols)
+    if solved is None:
+        return None
+    x0, _ = solved
     assignment = [nf_element(NF, h[x], x0[x * q:(x + 1) * q])
                   for x in range(I.var_count)]
     if iso is not None:

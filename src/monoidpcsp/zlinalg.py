@@ -9,6 +9,7 @@ coefficient growth is handled by arbitrary precision automatically.
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import DimensionMismatch
 
@@ -129,7 +130,9 @@ def solve_integer(A, b, cols):
 
     A row of A is (column, coefficient) pairs, as in SigmaSystem.  Returns
     None when unsolvable, otherwise (x0, kernel) where A*x0 = b and kernel
-    is a basis of {x : A*x = 0}.
+    is an iterator over a basis of {x : A*x = 0}.  Each basis vector is
+    lifted only when it is read, so a caller that drops the kernel pays
+    nothing for it; callers that keep it take ``list(kernel)``.
 
     The equalities are first eliminated on sparse rows (Markowitz 1957):
     repeatedly take a +-1 entry of least cost (row length - 1) *
@@ -156,14 +159,18 @@ def solve_integer(A, b, cols):
             return None
     heap = []
 
-    def push(i):
+    def push(i, columns):
         row = live[i]
-        for j, a in row.items():
-            if a in (1, -1):
+        for j in columns:
+            if row[j] in (1, -1):
                 heapq.heappush(heap, ((len(row) - 1) * (len(holders[j]) - 1), i, j))
 
-    for i in live:
-        push(i)
+    # Every live +-1 entry keeps a heap key no greater than its current
+    # cost, so a key popped at its entry's cost is the least (cost, row,
+    # column) of all live +-1 entries, and the pivots are taken in exactly
+    # that order.  A key popped off its entry's cost is pushed again at it.
+    for i, row in live.items():
+        push(i, row)
     pivots = []        # (column, row with coefficient 1 there, rhs)
     while heap:
         cost, p, j = heapq.heappop(heap)
@@ -181,8 +188,8 @@ def solve_integer(A, b, cols):
         for k in row:
             holders[k].discard(p)
         pivots.append((j, row, c))
-        # every row whose cost may have fallen: the changed rows, and the
-        # rows of each column whose count fell
+        # the columns whose count fell: those of the pivot row, and those
+        # cancelled in a changed row
         fallen = set(row)
         changed = list(holders[j])
         for i in changed:
@@ -203,9 +210,15 @@ def solve_integer(A, b, cols):
                 if rhs[i]:
                     return None
                 del live[i]
-        for i in set(changed).union(*(holders[k] for k in fallen)):
-            if i in live:
-                push(i)
+        # a changed row's length may have moved, so any of its entries may
+        # be cheaper; any other row's length is as it was, and of its
+        # entries only those in a column whose count fell got cheaper
+        changed = {i for i in changed if i in live}
+        for i in changed:
+            push(i, live[i])
+        for k in fallen:
+            for i in holders[k] - changed:
+                push(i, (k,))
     core_rows = sorted(live)
     core_cols = sorted({j for i in core_rows for j in live[i]})
     core_x0, core_kernel = [], []
@@ -231,8 +244,8 @@ def solve_integer(A, b, cols):
 
     pivot_cols = {j for j, _, _ in pivots}
     free = [j for j in range(cols) if j not in pivot_cols and not holders[j]]
-    kernel = [lift(on_core(v), True) for v in core_kernel]
-    kernel += [lift([int(k == j) for k in range(cols)], True) for j in free]
+    kernel = chain((lift(on_core(v), True) for v in core_kernel),
+                   (lift([int(k == j) for k in range(cols)], True) for j in free))
     return lift(on_core(core_x0), False), kernel
 
 

@@ -36,10 +36,15 @@ def deadline():
 @pytest.fixture
 def solve_matrix():
     """``solve_matrix(A, b)`` is :func:`solve_integer` on a dense matrix A,
-    passed as the (column, coefficient) rows that it reads."""
+    passed as the (column, coefficient) rows that it reads, with its lazy
+    kernel read out into a list."""
 
     def solve(A, b):
         rows = [tuple((j, a) for j, a in enumerate(row) if a) for row in A]
-        return solve_integer(rows, b, len(A[0]))
+        solved = solve_integer(rows, b, len(A[0]))
+        if solved is None:
+            return None
+        x0, kernel = solved
+        return x0, list(kernel)
 
     return solve

@@ -10,6 +10,7 @@ from monoidpcsp.core import (
     cyclic,
     direct_product,
     inverse,
+    is_commutative,
     is_regular_element,
     null_extension,
     semilattice_chain,
@@ -28,7 +29,7 @@ from monoidpcsp.cosets import (
 )
 from monoidpcsp.errors import MonoidError, NotCommutative, NotRegular
 from monoidpcsp.model import parse_template
-from monoidpcsp.sweep import commutative_sweep
+from monoidpcsp.sweep import commutative_sweep, monoid_sweep
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
                     "src", "monoidpcsp", "data")
@@ -43,6 +44,23 @@ def relation_of(name):
     with open(os.path.join(DATA, name)) as f:
         T = parse_template(f.read())
     return CartesianPower(T.carrier, T.arity), T.relation
+
+
+class CountingPower(CartesianPower):
+    """A Cartesian power that counts its products."""
+
+    calls = 0
+
+    def mul(self, xs, ys):
+        self.calls += 1
+        return super().mul(xs, ys)
+
+
+def coset_equation_holds(ops, U):
+    """U x (U^-1 x U) <= U, pair by pair: the definition is_coset is
+    checked against, for a set U of regular elements."""
+    return all(ops.mul(u, ops.mul(inverse(ops, a), b)) in U
+               for a in U for b in U for u in U)
 
 
 def test_setprod_and_tensor_power():
@@ -135,13 +153,6 @@ def test_closure_product_count_on_intro_n9():
     products of the definition took 2 685 637, an inverse that walked
     the powers twice took 57 576, and one that walked the powers of each
     whole tuple took 35 008."""
-    class CountingPower(CartesianPower):
-        calls = 0
-
-        def mul(self, xs, ys):
-            self.calls += 1
-            return super().mul(xs, ys)
-
     P, U = relation_of("introN_9.mon")
     P = CountingPower(P.base, P.n)
     assert len(coset_closure(P, U).members) == 9 ** 3
@@ -166,6 +177,40 @@ def test_is_coset_examples():
 
 def test_is_coset_rejects_irregular_members():
     assert not is_coset(null_extension(), {0, 1})
+
+
+def test_is_coset_matches_the_coset_equation():
+    """is_coset against the coset equation on every set of regular elements
+    of each commutative monoid of order at most 3 and of its square; a
+    non-commutative one is refused."""
+    for M in monoid_sweep(3, unique=True):
+        if not is_commutative(M):
+            with pytest.raises(NotCommutative):
+                is_coset(M, {M.identity})
+            continue
+        for ops in (M, CartesianPower(M, 2)):
+            regular = [a for a in ops.elements if is_regular_element(ops, a)]
+            for r in range(len(regular) + 1):
+                for U in combinations(regular, r):
+                    U = frozenset(U)
+                    assert is_coset(ops, U) == coset_equation_holds(ops, U), U
+
+
+def test_is_coset_product_counts():
+    """is_coset on the closure of introN_9's relation (729 triples) checks
+    U x g <= U for the few kept generators g; the coset equation taken pair
+    by pair made about 1.08 million products there.  A set that is not a
+    coset is refused before its closure is built: the zero and the unit
+    vectors of (Z/7)^6 close to all 117 649 tuples."""
+    P, U = relation_of("introN_9.mon")
+    closed = coset_closure(P, U).members
+    P = CountingPower(P.base, P.n)
+    assert is_coset(P, closed)
+    assert P.calls <= 30_000
+    P = CountingPower(cyclic(7), 6)
+    U = {tuple(int(i == k) for i in range(6)) for k in range(7)}
+    assert not is_coset(P, U)
+    assert P.calls <= 100
 
 
 def test_coset_ops_reject_noncommutative():

@@ -228,6 +228,17 @@ def test_shuffled_planted_instance_at_scale(deadline):
     assert sol is not None and check_assignment(T, I, sol)
 
 
+def test_free_variables_cost_no_kernel(deadline):
+    """With one ID constraint over 4000 variables nearly every column of
+    Sigma is free; solve_tractable reads only x0, so no kernel vector of
+    length cols is lifted.  Lifting all of them took about 3.3 s."""
+    T = intro_m_template()
+    I = make_instance(4000, [Identity(0)])
+    with deadline(1):
+        sol = solve_tractable(T, I)
+    assert sol is not None and check_assignment(T, I, sol)
+
+
 def test_finite_template_to_nf_preserves_relation():
     M = cyclic(6)
     rel = coset_closure(M, {1}).members

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -16,6 +17,12 @@ from monoidpcsp.zlinalg import (
     smith_normal_form,
     solve_integer,
 )
+from monoidpcsp.solver import (
+    build_sigma,
+    minimal_homomorphism,
+    projected_semilattice_template,
+)
+from test_solver import intro_m_template, planted_intro_instance
 
 
 def mat_mul(A, B):
@@ -207,6 +214,95 @@ def test_presolve_with_no_core_left(solve_matrix):
     _, K = got
     assert sorted(k[2:] for k in K) == [[0, 1], [1, 0]]
     assert kernel_hnf(4, K) == kernel_hnf(4, _solve_dense(A, b)[1])
+
+
+def markowitz_reference(A, b, cols):
+    """x0 of the elimination solve_integer's docstring defines, done
+    plainly: at each step scan every live +-1 entry for the least (cost,
+    row, column), pivot there, solve the rows left by _solve_dense on the
+    columns they hold, and lift back through the pivots.  None when
+    unsolvable."""
+    if any(r for row, r in zip(A, b) if not row):
+        return None
+    live, rhs = {i: dict(row) for i, row in enumerate(A) if row}, list(b)
+    pivots = []
+    while True:
+        count = Counter(j for row in live.values() for j in row)
+        best = min((((len(row) - 1) * (count[j] - 1), i, j)
+                    for i, row in live.items()
+                    for j, a in row.items() if a in (1, -1)), default=None)
+        if best is None:
+            break
+        _, p, j = best
+        sign = live[p][j]
+        row = {k: sign * a for k, a in live.pop(p).items()}
+        c = sign * rhs[p]
+        pivots.append((j, row, c))
+        for i in [i for i, target in live.items() if j in target]:
+            target, f = live[i], live[i][j]
+            for k, a in row.items():
+                target[k] = target.get(k, 0) - f * a
+                if not target[k]:
+                    del target[k]
+            rhs[i] -= f * c
+            if not target:
+                if rhs[i]:
+                    return None
+                del live[i]
+    x = [0] * cols
+    core_rows = sorted(live)
+    core_cols = sorted({j for row in live.values() for j in row})
+    if core_rows:
+        solved = _solve_dense([[live[i].get(j, 0) for j in core_cols]
+                               for i in core_rows], [rhs[i] for i in core_rows])
+        if solved is None:
+            return None
+        for j, v in zip(core_cols, solved[0]):
+            x[j] = v
+    for j, row, c in reversed(pivots):
+        x[j] = c - sum(a * x[k] for k, a in row.items())
+    return x
+
+
+def test_presolve_pivots_in_exact_markowitz_order():
+    """solve_integer gives the x0 of the plain elimination, on seeded sparse
+    systems and on the Sigma of shuffled planted instances over intro_M.nf,
+    so its heap takes the pivots in exactly the least (cost, row, column)
+    order."""
+    rng = random.Random(37)
+    systems = []
+    for _ in range(200):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 40)
+        A = [tuple((j, a) for j, a in enumerate(row) if a)
+             for row in sparse_matrix(rng, rows, cols)]
+        planted = [rng.randint(-3, 3) for _ in range(cols)]
+        b = [sum(a * planted[j] for j, a in row) for row in A]
+        if rng.random() < 0.25:
+            b = [rng.randint(-2, 2) for _ in A]
+        systems.append((A, b, cols))
+    T = intro_m_template()
+    for n in (40, 80):
+        I = planted_intro_instance(random.Random(n), n)
+        h = minimal_homomorphism(projected_semilattice_template(T), I)
+        system = build_sigma(T, I, h)
+        cols = n * system.num_coords + system.num_multipliers
+        systems.append((system.matrix, system.rhs, cols))
+    for A, b, cols in systems:
+        got, ref = solve_integer(A, b, cols), markowitz_reference(A, b, cols)
+        assert (got is None) == (ref is None), (A, b)
+        if got is not None:
+            assert got[0] == ref, (A, b)
+    assert all(solve_integer(*s) is not None for s in systems[-2:])
+
+
+def test_solve_integer_kernel_is_lazy():
+    """The kernel is an iterator that lifts each basis vector when it is
+    read."""
+    x0, K = solve_integer([((0, 1), (1, 1))], [5], 3)
+    assert iter(K) is K
+    assert x0 == [5, 0, 0]
+    assert kernel_hnf(3, list(K)) == ((1, -1, 0), (0, 0, 1))
+    assert list(K) == []
 
 
 def test_solve_integer_dimension_mismatch(solve_matrix):
