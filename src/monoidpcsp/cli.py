@@ -18,10 +18,10 @@ from .errors import (
     BudgetExceeded,
     MonoidError,
     PromiseViolation,
-    SearchCapExceeded,
     TooLarge,
 )
 from .model import (
+    DEFAULT_ORACLE_BUDGET,
     finite_carrier,
     oracle_solve,
     parse_carrier,
@@ -30,7 +30,12 @@ from .model import (
     serialize_instance,
 )
 from .regularize import NFElement, ab_reg
-from .polymorph import find_block_symmetric, parse_minor_condition, pmc_reduce
+from .polymorph import (
+    SEARCH_CAP,
+    find_block_symmetric,
+    parse_minor_condition,
+    pmc_reduce,
+)
 from .solver import solve_tractable
 
 EXIT_OK = 0
@@ -193,7 +198,7 @@ def build_parser():
     sp = sub.add_parser("oracle", help="brute-force satisfiability check")
     sp.add_argument("--template", required=True)
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--budget", type=int, default=2_000_000)
+    sp.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
     common(sp)
     sp.set_defaults(func=cmd_oracle)
 
@@ -220,7 +225,7 @@ def build_parser():
     sp.add_argument("--arity", type=int, required=True,
                     help="power exponent of the reduction")
     sp.add_argument("--cap-power", dest="cap_power", type=int,
-                    default=200_000)
+                    default=SEARCH_CAP)
     common(sp)
     sp.set_defaults(func=cmd_pmc_reduce)
 
@@ -241,7 +246,7 @@ def main(argv=None):
     out = _Out(args.format)
     try:
         return args.func(args, out)
-    except (BudgetExceeded, TooLarge, SearchCapExceeded) as e:
+    except (BudgetExceeded, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
     except (MonoidError, OSError) as e:

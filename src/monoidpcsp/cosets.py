@@ -36,13 +36,19 @@ def setprod(ops, U, V):
     return frozenset(ops.mul(s, t) for s in U for t in V)
 
 
+def _stable_power_sequence(ops, U, length):
+    """[U^x1, U^x2, ...] of the given length."""
+    seq = [frozenset(U)]
+    for _ in range(length - 1):
+        seq.append(setprod(ops, seq[-1], U))
+    return seq
+
+
 def tensor_power(ops, U, n):
+    """The n-fold set product U x ... x U."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
-    acc = frozenset(U)
-    for _ in range(n - 1):
-        acc = setprod(ops, acc, U)
-    return acc
+    return _stable_power_sequence(ops, U, n)[-1]
 
 
 def dagger_set(ops, U):
@@ -174,14 +180,6 @@ def _nonempty_subsets(M):
         yield frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
 
 
-def _stable_power_sequence(ops, U, length):
-    """[U^x1, U^x2, ...] of the given length."""
-    seq = [frozenset(U)]
-    for _ in range(length - 1):
-        seq.append(setprod(ops, seq[-1], U))
-    return seq
-
-
 def splitting_index(M):
     """Least n0 >= 1 such that [R]^xn = R^xn for every non-empty R and every
     n0 <= n <= n0 + |M|, with stabilization of |R^xn| confirmed.
@@ -227,13 +225,9 @@ def verify_dagger_splitting(M, K, n_max):
     _check_commutative(M)
     for R in _nonempty_subsets(M):
         closed = coset_closure(M, dagger_set(M, R)).members
-        cpow = frozenset(closed) if closed else frozenset()
-        rpow = frozenset(R)
-        for n in range(2, n_max + 1):
-            cpow = setprod(M, cpow, closed) if closed else cpow
-            rpow = setprod(M, rpow, R)
-            if n >= K and not (cpow <= rpow):
-                return False
-        if K <= 1 and not (closed <= frozenset(R)):
+        cpow = _stable_power_sequence(M, closed, n_max)
+        rpow = _stable_power_sequence(M, R, n_max)
+        if any(not cpow[n - 1] <= rpow[n - 1]
+               for n in range(max(K, 1), n_max + 1)):
             return False
     return True

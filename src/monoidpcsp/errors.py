@@ -70,9 +70,5 @@ class NonCommutingImages(MonoidError):
     pass
 
 
-class SearchCapExceeded(MonoidError):
-    pass
-
-
 class TooLarge(MonoidError):
     pass

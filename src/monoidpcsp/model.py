@@ -25,7 +25,12 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
-from .regularize import NormalFormMonoid, integers_nf, make_normal_form
+from .regularize import (
+    NormalFormMonoid,
+    integers_nf,
+    make_normal_form,
+    supported,
+)
 from .zlinalg import (
     LatticeCoset,
     coset_member,
@@ -194,10 +199,9 @@ def make_nf_template(NF, arity, blocks):
             if len(vec) != arity * q:
                 raise ValidationError("block vector has wrong length")
             for i, d in enumerate(d_tuple):
-                for j in range(q):
-                    if j not in NF.lam[d] and vec[i * q + j] != 0:
-                        raise ValidationError(
-                            f"block vector not supported on lam({d}) in slot {i}")
+                if not supported(NF.lam[d], vec[i * q:(i + 1) * q]):
+                    raise ValidationError(
+                        f"block vector not supported on lam({d}) in slot {i}")
         out.append(_saturate_block(NF, arity, d_tuple, offset, generators))
     return Template(NF, arity, BlockRelation(tuple(out)))
 
@@ -370,6 +374,8 @@ def _parse_nf(cur):
             (d,) = parse_ints(no, toks[1:2], 1)
             _in_range(no, d, size, "semilattice index")
             lam[d] = frozenset(parse_ints(no, toks[2:]))
+            for j in sorted(lam[d]):
+                _in_range(no, j, q, "coordinate")
         elif toks[0] == "xi":
             d, count = parse_ints(no, toks[1:], 2)
             _in_range(no, d, size, "semilattice index")

@@ -16,7 +16,6 @@ from .errors import (
     ArityMismatch,
     NonCommutingImages,
     ParseError,
-    SearchCapExceeded,
     TooLarge,
     ValidationError,
 )
@@ -147,7 +146,7 @@ def find_block_symmetric(relM, relN, i):
     check_pair(relM, relN)
     homs = homs_into(relM.carrier, relN.carrier)
     if len(homs) ** 2 > SEARCH_CAP:
-        raise SearchCapExceeded("too many homomorphism pairs")
+        raise TooLarge("too many homomorphism pairs")
     F, rel = relN.carrier, relN.relation
     P = CartesianPower(F, relN.arity)
     images = [h.relation_image(relM) for h in homs]
@@ -385,7 +384,7 @@ def _cayley_walk(P, U):
     return pos, words, edges
 
 
-def pmc_reduce(cond, relM, relN, N_arity, cap=200_000):
+def pmc_reduce(cond, relM, relN, N_arity, cap=SEARCH_CAP):
     """Translate a minor condition into an instance over the template
     signature.
 

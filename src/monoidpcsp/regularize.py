@@ -17,7 +17,6 @@ from .core import (
     eval_exponents,
     generated_subset,
     idempotents,
-    inverse,
     is_commutative,
     is_completely_regular,
     is_hom_map,
@@ -203,6 +202,11 @@ def covering_pairs(N):
     return pairs
 
 
+def supported(lam_d, v):
+    """Whether the vector v is zero off the coordinate set lam_d."""
+    return all(j in lam_d for j, a in enumerate(v) if a)
+
+
 def make_normal_form(semilattice, num_coords, lam, xi, anchors):
     if not is_semilattice(semilattice):
         raise MonoidError("carrier of a normal form must be a semilattice")
@@ -212,6 +216,8 @@ def make_normal_form(semilattice, num_coords, lam, xi, anchors):
     anchors = tuple(anchors)
     if len(lam) != N.size or len(xi) != N.size or len(anchors) != num_coords:
         raise MonoidError("normal form component sizes do not match")
+    if any(not 0 <= j < num_coords for s in lam for j in s):
+        raise MonoidError("support coordinate out of range")
     # inclusion is transitive, so monotonicity along the covering pairs is
     # monotonicity along the whole order
     covers = covering_pairs(N)
@@ -221,9 +227,8 @@ def make_normal_form(semilattice, num_coords, lam, xi, anchors):
         L = xi[d]
         if L.ambient_dim != num_coords:
             raise MonoidError("relation lattice has wrong dimension")
-        for row in L.basis:
-            if any(row[j] != 0 for j in range(num_coords) if j not in lam[d]):
-                raise MonoidError("relation lattice not supported on lam(d)")
+        if not all(supported(lam[d], row) for row in L.basis):
+            raise MonoidError("relation lattice not supported on lam(d)")
     for a, b in covers:
         for row in xi[b].basis:
             if not lattice_member(list(row), xi[a]):
@@ -248,9 +253,8 @@ class NFElement:
 def nf_element(NF, d, v):
     """Construct the canonical element [d, v]."""
     v = list(v)
-    for j in range(NF.num_coords):
-        if j not in NF.lam[d] and v[j] != 0:
-            raise MonoidError("vector is not supported on lam(d)")
+    if not supported(NF.lam[d], v):
+        raise MonoidError("vector is not supported on lam(d)")
     return NFElement(NF, d, tuple(reduce_mod_lattice(v, NF.xi[d])))
 
 
@@ -377,12 +381,12 @@ class NFHom:
         return eval_exponents(self.target, self.phi_images[x.d], self.gen_images, x.v)
 
     def generating_images(self):
-        """A finite set whose generated submonoid is the image."""
-        gens = set(self.phi_images)
-        for g in self.gen_images:
-            gens.add(g)
-            gens.add(inverse(self.target, g))
-        return gens
+        """A finite set whose generated submonoid is the image: the images
+        of the semilattice elements and of the generators.  A generator
+        image g is regular, so its inverse is a positive power of g (g^(m-1)
+        for g of order m >= 2 in its group, g itself when m = 1), and the
+        images of the generators' inverses add nothing."""
+        return set(self.phi_images) | set(self.gen_images)
 
     def image_set(self):
         return nf_hom_image(self)

@@ -36,50 +36,37 @@ def minimal_homomorphism(TI, I):
     N = TI.carrier
     domains = [set(N.elements) for _ in range(I.var_count)]
 
-    def prune_product(c):
-        dx, dy, dz = domains[c.x], domains[c.y], domains[c.z]
-        triples = [(a, b, N.mul(a, b)) for a in dx for b in dy
-                   if N.mul(a, b) in dz]
-        if c.x == c.y:
-            triples = [(a, b, p) for a, b, p in triples if a == b]
-        if c.x == c.z:
-            triples = [(a, b, p) for a, b, p in triples if a == p]
-        if c.y == c.z:
-            triples = [(a, b, p) for a, b, p in triples if b == p]
+    def narrow(c):
+        """Cut the domain of each variable of c to the values that the
+        tuples of c inside the current domains take at its positions; True
+        when a domain shrank.  Only the source of the tuples depends on the
+        kind of c."""
+        vs = c.vars
+        if isinstance(c, Product):
+            dz = domains[c.z]
+            rows = [(a, b, p) for a in domains[c.x] for b in domains[c.y]
+                    if (p := N.mul(a, b)) in dz]
+        elif isinstance(c, Identity):
+            rows = [(N.identity,)]
+        else:
+            rows = [t for t in TI.relation
+                    if all(a in domains[v] for v, a in zip(vs, t))]
+        repeats = [(vs.index(v), i) for i, v in enumerate(vs)
+                   if vs.index(v) < i]
+        if repeats:
+            rows = [t for t in rows if all(t[i] == t[j] for i, j in repeats)]
         changed = False
-        for var, pos in ((c.x, 0), (c.y, 1), (c.z, 2)):
-            keep = {t[pos] for t in triples}
-            if domains[var] - keep:
-                changed = True
-                domains[var] &= keep
-        return changed
-
-    def prune_relation(c):
-        rows = [t for t in TI.relation
-                if all(t[i] in domains[v] for i, v in enumerate(c.vars))
-                and all(t[i] == t[j] for i in range(len(c.vars))
-                        for j in range(i + 1, len(c.vars))
-                        if c.vars[i] == c.vars[j])]
-        changed = False
-        for i, v in enumerate(c.vars):
-            keep = {t[i] for t in rows}
-            if domains[v] != keep & domains[v]:
-                changed = True
-            domains[v] &= keep
+        for i, v in enumerate(vs):
+            keep = domains[v] & {t[i] for t in rows}
+            changed |= keep != domains[v]
+            domains[v] = keep
         return changed
 
     changed = True
     while changed:
         changed = False
         for c in I.constraints:
-            if isinstance(c, Product):
-                changed |= prune_product(c)
-            elif isinstance(c, Identity):
-                if domains[c.x] != {N.identity} & domains[c.x]:
-                    changed = True
-                domains[c.x] &= {N.identity}
-            else:
-                changed |= prune_relation(c)
+            changed |= narrow(c)
         if any(not d for d in domains):
             return None
     h = [N.prod(sorted(domains[x])) for x in range(I.var_count)]

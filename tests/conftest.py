@@ -1,9 +1,37 @@
 import signal
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
+from monoidpcsp.model import Product, Relation, make_instance, make_nf_template
+from monoidpcsp.regularize import integers_nf
 from monoidpcsp.zlinalg import solve_integer
+
+
+def nonconstant_triples(n):
+    """The triples over {0, ..., n-1} that are not constant: the relation
+    of the paper's introductory target over Z/n."""
+    return [t for t in product(range(n), repeat=3)
+            if not (t[0] == t[1] == t[2])]
+
+
+def intro_nf_template():
+    """intro_M: the integers with x + y + z = 1 (mod 3), as one
+    lattice-coset block."""
+    Z = integers_nf()
+    return make_nf_template(Z, 3, [
+        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
+    ])
+
+
+def intro_instance():
+    """x + y = u + v with R(x, y, u), R(u, v, x), R(u, v, y): unsatisfiable
+    over intro_M, since adding the last two gives 3(x + y) = 2 (mod 3)."""
+    return make_instance(5, [
+        Product(0, 1, 4), Product(2, 3, 4),
+        Relation((0, 1, 2)), Relation((2, 3, 0)), Relation((2, 3, 1)),
+    ])
 
 
 @pytest.fixture

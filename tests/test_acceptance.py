@@ -32,7 +32,6 @@ from monoidpcsp.model import (
     Relation,
     make_finite_template,
     make_instance,
-    make_nf_template,
     oracle_solve,
 )
 from monoidpcsp.polymorph import (
@@ -42,7 +41,7 @@ from monoidpcsp.polymorph import (
     make_minor_condition,
     pmc_reduce,
 )
-from monoidpcsp.regularize import ab_reg, integers_nf, verify_universal_property
+from monoidpcsp.regularize import ab_reg, verify_universal_property
 from monoidpcsp.solver import finite_template_to_nf, solve_tractable
 from monoidpcsp.sweep import (
     commutative_regular_sweep,
@@ -50,6 +49,7 @@ from monoidpcsp.sweep import (
     monoid_sweep,
 )
 from monoidpcsp.zlinalg import hermite_normal_form, smith_normal_form
+from conftest import intro_instance, intro_nf_template, nonconstant_triples
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
                     "src", "monoidpcsp", "data")
@@ -67,25 +67,6 @@ def report(num, name, ok, capsys=None):
     else:
         print(line)
     assert ok, f"acceptance criterion {num} ({name}) failed"
-
-
-def nonconstant_triples(n):
-    return [t for t in product(range(n), repeat=3)
-            if not (t[0] == t[1] == t[2])]
-
-
-def intro_nf_template():
-    Z = integers_nf()
-    return make_nf_template(Z, 3, [
-        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
-    ])
-
-
-def intro_instance():
-    return make_instance(5, [
-        Product(0, 1, 4), Product(2, 3, 4),
-        Relation((0, 1, 2)), Relation((2, 3, 0)), Relation((2, 3, 1)),
-    ])
 
 
 def test_acceptance_1_intro_dichotomy(capsys):

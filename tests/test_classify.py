@@ -27,17 +27,16 @@ from monoidpcsp.errors import ArityMismatch, PromiseViolation
 from monoidpcsp.model import (
     Template,
     make_finite_template,
-    make_nf_template,
     parse_template,
 )
 from monoidpcsp.regularize import (
-    integers_nf,
     nf_element,
     nf_homs_to_finite,
     to_normal_form,
 )
 from monoidpcsp.solver import finite_template_to_nf
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
+from conftest import intro_nf_template, nonconstant_triples
 
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -47,18 +46,6 @@ DATA = os.path.join(os.path.dirname(__file__), os.pardir,
 def data_template(name):
     with open(os.path.join(DATA, name), encoding="utf-8") as fh:
         return parse_template(fh.read())
-
-
-def nonconstant_triples(n):
-    return [t for t in product(range(n), repeat=3)
-            if not (t[0] == t[1] == t[2])]
-
-
-def intro_nf_template():
-    Z = integers_nf()
-    return make_nf_template(Z, 3, [
-        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
-    ])
 
 
 def intro_target(n):

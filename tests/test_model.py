@@ -19,7 +19,6 @@ from monoidpcsp.model import (
     is_nf_template,
     make_finite_template,
     make_instance,
-    make_nf_template,
     oracle_solve,
     parse_carrier,
     parse_instance,
@@ -34,26 +33,8 @@ from monoidpcsp.polymorph import (
     parse_minor_condition,
     pmc_reduce,
 )
-from monoidpcsp.regularize import integers_nf, nf_element
-
-
-def nonconstant_triples(n):
-    return [t for t in product(range(n), repeat=3)
-            if not (t[0] == t[1] == t[2])]
-
-
-def intro_nf_template():
-    Z = integers_nf()
-    return make_nf_template(Z, 3, [
-        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
-    ])
-
-
-def intro_instance():
-    return make_instance(5, [
-        Product(0, 1, 4), Product(2, 3, 4),
-        Relation((0, 1, 2)), Relation((2, 3, 0)), Relation((2, 3, 1)),
-    ])
+from monoidpcsp.regularize import nf_element
+from conftest import intro_instance, intro_nf_template, nonconstant_triples
 
 
 def test_make_instance_rejects_bad_indices():
@@ -236,6 +217,7 @@ MALFORMED = [
     (parse_template, FINITE_TEXT, "tuple 1", "tuple 1\nfoo 0"),
     (parse_template, NF_TEXT, "coords 1", "coords"),
     (parse_template, NF_TEXT, "lambda 0 0", "lambda"),
+    (parse_template, NF_TEXT, "lambda 0 0", "lambda 0 0 5 -3"),
     (parse_template, NF_TEXT, "anchor", "xi 0\nanchor"),
     (parse_template, NF_TEXT, "anchor", "xi 0 1\n1 2\nanchor"),
     (parse_template, NF_TEXT, "anchor 0 0", "anchor 0"),

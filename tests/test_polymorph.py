@@ -13,12 +13,11 @@ from monoidpcsp.core import (
 )
 from monoidpcsp.errors import (
     NonCommutingImages,
-    SearchCapExceeded,
+    TooLarge,
     ValidationError,
 )
 from monoidpcsp.model import (
     make_finite_template,
-    make_nf_template,
     oracle_solve,
     parse_template,
 )
@@ -36,7 +35,8 @@ from monoidpcsp.polymorph import (
     pmc_reduce,
     serialize_minor_condition,
 )
-from monoidpcsp.regularize import homs_into, integers_nf
+from monoidpcsp.regularize import homs_into
+from conftest import intro_nf_template, nonconstant_triples
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
                     "src", "monoidpcsp", "data")
@@ -47,20 +47,8 @@ def data_template(name):
         return parse_template(fh.read())
 
 
-def nonconstant_triples(n):
-    return [t for t in product(range(n), repeat=3)
-            if not (t[0] == t[1] == t[2])]
-
-
 def sum_triples(n, residue):
     return [t for t in product(range(n), repeat=3) if sum(t) % n == residue]
-
-
-def intro_nf_template():
-    Z = integers_nf()
-    return make_nf_template(Z, 3, [
-        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
-    ])
 
 
 def random_commuting_polymorphism(rng, M, arity):
@@ -162,7 +150,7 @@ def test_find_block_symmetric():
     assert find_block_symmetric(T5, T5, 2) is None
     # Z/448 has 448 self-homs, so 448^2 = 200 704 pairs, just over SEARCH_CAP
     full = make_finite_template(cyclic(448), 1, [(a,) for a in range(448)])
-    with pytest.raises(SearchCapExceeded):
+    with pytest.raises(TooLarge):
         find_block_symmetric(full, full, 1)
 
 

@@ -26,65 +26,61 @@ from monoidpcsp.model import (
     oracle_solve,
     parse_template,
 )
-from monoidpcsp.regularize import integers_nf
 from monoidpcsp.solver import (
     finite_template_to_nf,
     minimal_homomorphism,
     projected_semilattice_template,
     solve_tractable,
 )
-
-
-def intro_nf_template():
-    Z = integers_nf()
-    return make_nf_template(Z, 3, [
-        ((0, 0, 0), [0, 0, 1], [[1, 1, 1], [1, -1, 0], [0, 1, -1]]),
-    ])
-
-
-def intro_instance():
-    return make_instance(5, [
-        Product(0, 1, 4), Product(2, 3, 4),
-        Relation((0, 1, 2)), Relation((2, 3, 0)), Relation((2, 3, 1)),
-    ])
+from conftest import intro_instance, intro_nf_template
 
 
 def test_minimal_homomorphism_is_pointwise_least():
     N = semilattice_chain(3)
-    TI = Template(N, 1, frozenset({(0,), (1,)}))
+    # a coset of a semilattice is a sub-semilattice: the binary relation is
+    # closed under the product of N^2, and it is not a product of two sets
+    pairs = frozenset({(0, 0), (1, 2), (2, 1), (2, 2)})
+    assert all((N.mul(a, c), N.mul(b, d)) in pairs
+               for a, b in pairs for c, d in pairs)
     rng = random.Random(3)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        cs = []
-        for _ in range(rng.randint(0, 3)):
-            k = rng.randrange(3)
-            if k == 0:
-                cs.append(Product(rng.randrange(n), rng.randrange(n),
-                                  rng.randrange(n)))
-            elif k == 1:
-                cs.append(Identity(rng.randrange(n)))
+    repeated = set()
+    for TI in (Template(N, 1, frozenset({(0,), (1,)})), Template(N, 2, pairs)):
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            cs = []
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randrange(3)
+                if k == 0:
+                    cs.append(Product(rng.randrange(n), rng.randrange(n),
+                                      rng.randrange(n)))
+                elif k == 1:
+                    cs.append(Identity(rng.randrange(n)))
+                else:
+                    cs.append(Relation(tuple(rng.randrange(n)
+                                             for _ in range(TI.arity))))
+            repeated |= {type(c) for c in cs if len(set(c.vars)) < len(c.vars)}
+            I = make_instance(n, cs)
+            h = minimal_homomorphism(TI, I)
+            sols = []
+            for a in product(N.elements, repeat=n):
+                ok = all(
+                    (N.mul(a[c.x], a[c.y]) == a[c.z]) if isinstance(c, Product)
+                    else (a[c.x] == N.identity) if isinstance(c, Identity)
+                    else tuple(a[v] for v in c.vars) in TI.relation
+                    for c in cs)
+                if ok:
+                    sols.append(a)
+            if not sols:
+                assert h is None
             else:
-                cs.append(Relation((rng.randrange(n),)))
-        I = make_instance(n, cs)
-        h = minimal_homomorphism(TI, I)
-        sols = []
-        for a in product(N.elements, repeat=n):
-            ok = all(
-                (N.mul(a[c.x], a[c.y]) == a[c.z]) if isinstance(c, Product)
-                else (a[c.x] == N.identity) if isinstance(c, Identity)
-                else tuple(a[v] for v in c.vars) in TI.relation
-                for c in cs)
-            if ok:
-                sols.append(a)
-        if not sols:
-            assert h is None
-        else:
-            assert h is not None
-            assert tuple(h) in sols
-            # least under the semilattice order a <= b iff ab = a
-            for s in sols:
-                for x in range(n):
-                    assert N.mul(h[x], s[x]) == h[x]
+                assert h is not None
+                assert tuple(h) in sols
+                # least under the semilattice order a <= b iff ab = a
+                for s in sols:
+                    for x in range(n):
+                        assert N.mul(h[x], s[x]) == h[x]
+    # the draws repeat a variable in a MUL and in a binary REL
+    assert repeated == {Product, Relation}
 
 
 def test_unsat_when_domains_empty():
