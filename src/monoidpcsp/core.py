@@ -1,5 +1,5 @@
 """Finite monoids as Cayley tables, Green's preorder, idempotent structure,
-projections, and homomorphism enumeration.
+projections, the one backtracking search and homomorphism enumeration.
 
 Elements of a monoid of size n are the integers 0..n-1.  All operations are
 pure; monoids and homomorphisms are immutable after construction.
@@ -407,7 +407,36 @@ def direct_product(M, N):
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism enumeration
+# Backtracking search and homomorphism enumeration
+
+
+def backtrack(domains, accept):
+    """Every assignment whose position i holds a value of domains[i] and for
+    which accept(i, assignment) holds once positions 0..i are set, as
+    tuples in lexicographic order (each domain in its own order).
+
+    The one backtracking search: it keeps its own stack of value iterators,
+    so the number of positions is not bounded by the recursion limit.
+    accept sees the live list, where positions past i hold stale values."""
+    n = len(domains)
+    if n == 0:
+        yield ()
+        return
+    assignment = [None] * n
+    stack = [iter(domains[0])]
+    while stack:
+        i = len(stack) - 1
+        for v in stack[i]:
+            assignment[i] = v
+            if accept(i, assignment):
+                break
+        else:
+            stack.pop()
+            continue
+        if i + 1 == n:
+            yield tuple(assignment)
+        else:
+            stack.append(iter(domains[i + 1]))
 
 
 def _prefix_steps(M, gens):
@@ -437,9 +466,9 @@ def enumerate_homs(M, N):
     """All monoid homomorphisms M -> N, ordered lexicographically by their
     full image tuples.
 
-    Generator images are chosen one at a time.  The elements a generator
-    prefix newly reaches take their images along BFS tree edges, and a
-    branch is cut as soon as a Cayley edge it closes fails
+    Generator images are chosen one at a time by :func:`backtrack`.  The
+    elements a generator prefix newly reaches take their images along BFS
+    tree edges, and a branch is cut as soon as a Cayley edge it closes fails
     img[a*g] == img[a]*img[g].  A map sending the identity to the identity
     and respecting every Cayley edge respects every product, by induction
     on word length.
@@ -448,22 +477,17 @@ def enumerate_homs(M, N):
     table = N.table
     img = [None] * M.size
     img[M.identity] = N.identity
-    gen_imgs = [None] * len(steps)
-    found = []
 
-    def extend(j):
-        if j == len(steps):
-            found.append(tuple(img))
-            return
+    def accept(j, gen_imgs):
         new, closed = steps[j]
-        for v in N.elements:
-            gen_imgs[j] = v
-            for c, a, k in new:
-                img[c] = table[img[a]][gen_imgs[k]]
-            if all(img[c] == table[img[a]][gen_imgs[k]] for a, k, c in closed):
-                extend(j + 1)
+        for c, a, k in new:
+            img[c] = table[img[a]][gen_imgs[k]]
+        for a, k, c in closed:
+            if img[c] != table[img[a]][gen_imgs[k]]:
+                return False
+        return True
 
-    extend(0)
+    found = [tuple(img) for _ in backtrack([N.elements] * len(steps), accept)]
     return [MonoidHom(M, N, images) for images in sorted(found)]
 
 

@@ -17,7 +17,7 @@ constraints of an instance against a template.
 
 from dataclasses import dataclass
 
-from .core import FiniteMonoid, monoid_from_keyword, validate_monoid
+from .core import FiniteMonoid, backtrack, monoid_from_keyword, validate_monoid
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -245,11 +245,12 @@ DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
-    """Exhaustive backtracking search for a satisfying assignment over a
-    finite carrier.  Returns a list (variable -> element) or None.
+    """Exhaustive search for a satisfying assignment over a finite carrier,
+    by :func:`core.backtrack`.  Returns a list (variable -> element) or
+    None.
 
     Deterministic: variables in index order, values in element order.  The
-    budget bounds visited search nodes.
+    budget bounds visited search nodes, one per value tried.
     """
     M = finite_carrier(T.carrier, "the oracle")
     check_arities(T, I)
@@ -258,26 +259,17 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
     by_last = [[] for _ in range(n + 1)]
     for c in I.constraints:
         by_last[max(c.vars, default=0)].append(c)
-    assignment = [None] * n
     nodes = 0
 
-    def search(v):
+    def accept(v, assignment):
         nonlocal nodes
-        if v == n:
-            return True
-        for a in M.elements:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"oracle exceeded {budget} nodes")
-            assignment[v] = a
-            if all(holds(T, c, assignment) for c in by_last[v]) and search(v + 1):
-                return True
-        assignment[v] = None
-        return False
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"oracle exceeded {budget} nodes")
+        return all(holds(T, c, assignment) for c in by_last[v])
 
-    if n == 0:
-        return []
-    return list(assignment) if search(0) else None
+    found = next(backtrack([M.elements] * n, accept), None)
+    return None if found is None else list(found)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ def _parse_nf(cur):
     _count(no, q, "coordinate count")
     lam = [frozenset() for _ in range(size)]
     xi_gens = [[] for _ in range(size)]
-    anchors = [None] * q
+    anchors = {}  # filled line by line, so q never sizes an allocation
     while not cur.done() and cur.peek()[1][0] in ("lambda", "xi", "anchor"):
         no, toks = cur.take()
         if toks[0] == "lambda":
@@ -386,11 +378,11 @@ def _parse_nf(cur):
             _in_range(no, alpha, q, "coordinate")
             _in_range(no, d, size, "semilattice index")
             anchors[alpha] = d
-    if any(a is None for a in anchors):
+    if len(anchors) != q:
         raise ValidationError("every coordinate needs an anchor line")
     xi = [lattice_from_generators(q, g) for g in xi_gens]
     try:
-        return make_normal_form(N, q, lam, xi, anchors)
+        return make_normal_form(N, q, lam, xi, [anchors[a] for a in range(q)])
     except Exception as e:
         raise ValidationError(str(e)) from e
 

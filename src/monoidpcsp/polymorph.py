@@ -8,6 +8,7 @@ from itertools import product
 
 from .core import (
     CartesianPower,
+    backtrack,
     commute,
     minimal_generating_set,
 )
@@ -200,49 +201,29 @@ def all_symbols(cond):
     return list(cond.u_symbols) + list(cond.v_symbols)
 
 
+def _satisfiable(cond, domains, edge_holds):
+    """True iff each symbol x can take a value of domains[x] so that
+    edge_holds(value of u, value of v, phi) for every edge (u, v, phi).
+    :func:`core.backtrack` assigns the symbols in name order and tests each
+    edge once, when its later end is set."""
+    names = sorted(domains)
+    at = {x: i for i, x in enumerate(names)}
+    edges_at = [[] for _ in names]
+    for u, v, phi in cond.edges:
+        edges_at[max(at[u], at[v])].append((at[u], at[v], phi))
+
+    def accept(i, chosen):
+        return all(edge_holds(chosen[u], chosen[v], phi)
+                   for u, v, phi in edges_at[i])
+
+    return next(backtrack([domains[x] for x in names], accept), None) is not None
+
+
 def is_trivial(cond):
     """True iff coordinates i_x can be chosen for every symbol so that every
-    edge map sends i_u to i_v."""
-    arity = dict(all_symbols(cond))
-    names = sorted(arity)
-    domains = {x: set(range(arity[x])) for x in names}
-
-    changed = True
-    while changed:
-        changed = False
-        for u, v, phi in cond.edges:
-            keep_u = {i for i in domains[u] if phi[i] in domains[v]}
-            keep_v = {phi[i] for i in keep_u}
-            if keep_u != domains[u]:
-                domains[u] = keep_u
-                changed = True
-            if not domains[v] <= keep_v:
-                domains[v] &= keep_v
-                changed = True
-        if any(not d for d in domains.values()):
-            return False
-
-    def search(pos, chosen):
-        if pos == len(names):
-            return True
-        x = names[pos]
-        for i in sorted(domains[x]):
-            ok = True
-            for u, v, phi in cond.edges:
-                if u == x and v in chosen and phi[i] != chosen[v]:
-                    ok = False
-                elif v == x and u in chosen and phi[chosen[u]] != i:
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                chosen[x] = i
-                if search(pos + 1, chosen):
-                    return True
-                del chosen[x]
-        return False
-
-    return search(0, {})
+    edge map sends i_u to i_v: satisfiability in the projections."""
+    return _satisfiable(cond, {x: range(k) for x, k in all_symbols(cond)},
+                        lambda i_u, i_v, phi: phi[i_u] == i_v)
 
 
 def _table_minor(f, phi, m, M):
@@ -282,38 +263,19 @@ def is_satisfiable_in_pol(cond, relM, relN):
     every edge identity holds as a table equality."""
     M = finite_carrier(relM.carrier, "satisfiability search")
     arity = dict(all_symbols(cond))
-    by_arity = {}
-    for k in set(arity.values()):
-        by_arity[k] = all_table_polymorphisms(relM, relN, k)
-    names = sorted(arity)
+    by_arity = {k: all_table_polymorphisms(relM, relN, k)
+                for k in set(arity.values())}
+    domains = {x: by_arity[k] for x, k in arity.items()}
     total = 1
-    for x in names:
-        total *= max(len(by_arity[arity[x]]), 1)
+    for polys in domains.values():
+        total *= max(len(polys), 1)
         if total > SEARCH_CAP:
             raise TooLarge("assignment search exceeds the cap")
 
     def edge_holds(fu, fv, phi):
-        g = _table_minor(fu, phi, fv.arity, M)
-        return g.table == fv.table
+        return _table_minor(fu, phi, fv.arity, M).table == fv.table
 
-    def search(pos, chosen):
-        if pos == len(names):
-            return True
-        x = names[pos]
-        for f in by_arity[arity[x]]:
-            chosen[x] = f
-            ok = True
-            for u, v, phi in cond.edges:
-                if u in chosen and v in chosen:
-                    if not edge_holds(chosen[u], chosen[v], phi):
-                        ok = False
-                        break
-            if ok and search(pos + 1, chosen):
-                return True
-            del chosen[x]
-        return False
-
-    return search(0, {})
+    return _satisfiable(cond, domains, edge_holds)
 
 
 def parse_minor_condition(text):
@@ -396,6 +358,8 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=SEARCH_CAP):
     M, B = finite_carrier(relM.carrier, "the reduction"), relN.carrier
     r = relM.arity
     arity = dict(all_symbols(cond))
+    if N_arity < 1:
+        raise ValidationError("the reduction needs a positive arity")
     if any(k > N_arity for k in arity.values()):
         raise ValidationError("symbol arity exceeds the padding arity")
     if M.size ** N_arity > cap:

@@ -157,6 +157,32 @@ def test_bad_input_exits_2_with_one_error_line(name, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# inputs the program accepts or refuses with an answer, never a traceback:
+# (argv, files, exit code, stdout)
+NO_TRACEBACK = {
+    "pmc-reduce-arity-0": (
+        ["pmc-reduce", "--lhs", data("introN_2.mon"), "--rhs", data("introN_2.mon"),
+         "--arity", "0", "--instance", "empty.mc"], {"empty.mc": ""}, 2, ""),
+    "nf-coords-huge": (*_solve_nf(NF_TEXT.replace(
+        "coords 1", "coords 10000000000000000000")), 2, ""),
+    "oracle-1200-free": (
+        ["oracle", "--template", data("introN_3.mon"), "--instance", "free.inst"],
+        {"free.inst": "instance 1200\n"}, 0,
+        "sat\n" + "".join(f"x{i} = 0\n" for i in range(1200))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TRACEBACK))
+def test_cli_answers_without_a_traceback(name, tmp_path, capsys, deadline):
+    argv, files, code, stdout = NO_TRACEBACK[name]
+    with deadline(10):
+        got = main(_write(argv, files, tmp_path))
+    out, err = capsys.readouterr()
+    assert got in (0, 2, 3, 10, 11) and got == code
+    assert err == "" or err.startswith("error: ")
+    assert out == stdout
+
+
 @pytest.mark.parametrize("name", ["nf-anchor-range", "nf-block-negative",
                                   "nf-xi-negative"])
 def test_bad_nf_field_error_names_its_line(name, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 
 from monoidpcsp.core import (
     CartesianPower,
+    backtrack,
     cyclic,
     d_of,
     direct_product,
@@ -223,6 +225,33 @@ def test_make_hom_refuses_a_map_that_is_not_a_hom():
         make_hom(cyclic(2), cyclic(3), (0, 1))
     with pytest.raises(MonoidError):
         make_hom(cyclic(2), cyclic(2), (1, 0))
+
+
+def test_backtrack_is_the_filtered_product():
+    """backtrack yields, in order, the tuples of the product of the domains
+    whose every prefix accept keeps."""
+    rng = random.Random(17)
+    for _ in range(300):
+        domains = [rng.sample(range(4), rng.randint(0, 3))
+                   for _ in range(rng.randint(0, 4))]
+        keep = {}
+
+        def accept(i, assignment):
+            prefix = tuple(assignment[:i + 1])
+            if prefix not in keep:
+                keep[prefix] = rng.random() < 0.7
+            return keep[prefix]
+
+        got = list(backtrack(domains, accept))
+        assert got == [a for a in product(*domains)
+                       if all(keep[a[:i + 1]] for i in range(len(a)))]
+
+
+def test_backtrack_is_not_bounded_by_the_recursion_limit():
+    n = 5000
+    alternating = tuple(i % 2 for i in range(n))
+    found = backtrack([range(2)] * n, lambda i, a: a[i] == alternating[i])
+    assert list(found) == [alternating]
 
 
 def test_enumerate_homs_counts():

@@ -133,6 +133,11 @@ def test_oracle_budget():
     I = make_instance(6, [Relation((i,)) for i in range(6)])
     with pytest.raises(BudgetExceeded):
         oracle_solve(T, I, budget=3)
+    # one node per value tried: intro.inst over introN_9.mon visits 86
+    T9 = make_finite_template(cyclic(9), 3, nonconstant_triples(9))
+    assert oracle_solve(T9, intro_instance(), budget=86) == [0, 0, 1, 8, 0]
+    with pytest.raises(BudgetExceeded):
+        oracle_solve(T9, intro_instance(), budget=85)
 
 
 def test_intro_instance_satisfiable_over_cyclic():

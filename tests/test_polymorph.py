@@ -202,6 +202,28 @@ def test_minor_condition_triviality():
     assert not is_trivial(cond)
     loose = make_minor_condition([("f", 2)], [("g", 2)], [("f", "g", (0, 1))])
     assert is_trivial(loose)
+    # seeded conditions against a brute force over the projections; the
+    # names are drawn so that an edge's u may come before or after its v
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(400):
+        names = rng.sample("abcdefg", rng.randint(2, 5))
+        cut = rng.randint(1, len(names) - 1)
+        arity = {x: rng.randint(1, 3) for x in names}
+        us, vs = names[:cut], names[cut:]
+        edges = []
+        for _ in range(rng.randint(0, 6)):
+            u, v = rng.choice(us), rng.choice(vs)
+            edges.append((u, v, tuple(rng.randrange(arity[v])
+                                      for _ in range(arity[u]))))
+        cond = make_minor_condition([(x, arity[x]) for x in us],
+                                    [(x, arity[x]) for x in vs], edges)
+        brute = any(all(phi[i[u]] == i[v] for u, v, phi in edges)
+                    for i in (dict(zip(names, pick)) for pick in
+                              product(*(range(arity[x]) for x in names))))
+        assert is_trivial(cond) == brute, cond
+        verdicts.add(brute)
+    assert verdicts == {True, False}
 
 
 def test_minor_condition_round_trip():
