@@ -36,19 +36,24 @@ def setprod(ops, U, V):
     return frozenset(ops.mul(s, t) for s in U for t in V)
 
 
-def _stable_power_sequence(ops, U, length):
-    """[U^x1, U^x2, ...] of the given length."""
-    seq = [frozenset(U)]
-    for _ in range(length - 1):
+def _set_powers(ops, U, length):
+    """i -> U^x(i+1) for i below length.  U^x(k+1) = U^xk x U depends on
+    U^xk alone, so the powers cycle from their first repeat on: only the
+    powers up to it are formed, and any later one is read off the cycle."""
+    seq, at = [frozenset(U)], {}
+    while len(seq) < length and seq[-1] not in at:
+        at[seq[-1]] = len(seq) - 1
         seq.append(setprod(ops, seq[-1], U))
-    return seq
+    start = at.get(seq[-1], 0)      # after a repeat, seq[start:-1] is the cycle
+    return lambda i: seq[i if i < len(seq) else
+                         start + (i - start) % (len(seq) - 1 - start)]
 
 
 def tensor_power(ops, U, n):
     """The n-fold set product U x ... x U."""
     if n < 1:
         raise ValueError("tensor power needs n >= 1")
-    return _stable_power_sequence(ops, U, n)[-1]
+    return _set_powers(ops, U, n)(n - 1)
 
 
 def dagger_set(ops, U):
@@ -194,13 +199,13 @@ def splitting_index(M):
     best = 1
     for R in _nonempty_subsets(M):
         C = coset_closure(M, R).members
-        rpow = _stable_power_sequence(M, R, horizon + window)
-        cpow = _stable_power_sequence(M, C, horizon + window)
+        rpow = _set_powers(M, R, horizon + window)
+        cpow = _set_powers(M, C, horizon + window)
         n_R = None
         for n in range(1, horizon + 1):
             in_window = range(n - 1, n + window)
-            if all(rpow[m] == cpow[m] for m in in_window) and \
-                    len(rpow[n - 1]) == len(rpow[n + window - 1]):
+            if all(rpow(m) == cpow(m) for m in in_window) and \
+                    len(rpow(n - 1)) == len(rpow(n + window - 1)):
                 n_R = n
                 break
         if n_R is None:
@@ -225,9 +230,9 @@ def verify_dagger_splitting(M, K, n_max):
     _check_commutative(M)
     for R in _nonempty_subsets(M):
         closed = coset_closure(M, dagger_set(M, R)).members
-        cpow = _stable_power_sequence(M, closed, n_max)
-        rpow = _stable_power_sequence(M, R, n_max)
-        if any(not cpow[n - 1] <= rpow[n - 1]
+        cpow = _set_powers(M, closed, n_max)
+        rpow = _set_powers(M, R, n_max)
+        if any(not cpow(n - 1) <= rpow(n - 1)
                for n in range(max(K, 1), n_max + 1)):
             return False
     return True

@@ -74,9 +74,16 @@ class Instance:
     constraints: tuple
 
 
+# every pass over an instance sizes its lists by the variable count, and a
+# variable need not occur in a constraint, so the count is bounded
+MAX_VARIABLES = 1_000_000
+
+
 def make_instance(var_count, constraints):
     if var_count < 0:
         raise ValidationError(f"variable count {var_count} is negative")
+    if var_count > MAX_VARIABLES:
+        raise TooLarge(f"instance has more than {MAX_VARIABLES} variables")
     for c in constraints:
         if not isinstance(c, (Product, Identity, Relation)):
             raise ValidationError(f"unknown constraint {c!r}")
@@ -276,7 +283,8 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
 # Text formats
 
 
-def _content_lines(text):
+def content_lines(text):
+    """The (line number, tokens) of each line with content, comments cut."""
     out = []
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -287,7 +295,7 @@ def _content_lines(text):
 
 class _Cursor:
     def __init__(self, text):
-        self.lines = _content_lines(text)
+        self.lines = content_lines(text)
         self.pos = 0
 
     def peek(self):

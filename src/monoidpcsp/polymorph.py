@@ -25,6 +25,7 @@ from .model import (
     Product,
     Relation,
     check_pair,
+    content_lines,
     finite_carrier,
     make_instance,
     parse_ints,
@@ -280,11 +281,7 @@ def is_satisfiable_in_pol(cond, relM, relN):
 
 def parse_minor_condition(text):
     u_symbols, v_symbols, edges = [], [], []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for no, toks in content_lines(text):
         if toks[0] == "sym":
             if len(toks) != 4 or toks[3] not in ("U", "V"):
                 raise ParseError(no, "sym line needs a name, arity, and side")
@@ -362,7 +359,7 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=SEARCH_CAP):
         raise ValidationError("the reduction needs a positive arity")
     if any(k > N_arity for k in arity.values()):
         raise ValidationError("symbol arity exceeds the padding arity")
-    if M.size ** N_arity > cap:
+    if N_arity > cap or M.size ** N_arity > cap:
         raise TooLarge("carrier power exceeds the cap")
     P = CartesianPower(M, N_arity)
     U = _unit_insertion_generators(M, N_arity, minimal_generating_set(M))

@@ -14,22 +14,52 @@ from itertools import chain
 from .errors import DimensionMismatch
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    rows, inner, cols = len(A), len(B), len(B[0])
-    if any(len(r) != inner for r in A):
-        raise DimensionMismatch("matrix product shape mismatch")
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 # ---------------------------------------------------------------------------
-# Hermite normal form
+# Hermite normal form: the one elimination
+
+
+def _echelon(rows, width):
+    """Bring rows, in place, to Hermite form on their first width columns,
+    applying each row operation to the whole row; return the rank.  Each
+    column is reduced by its smallest non-zero entry until none is left
+    below the pivot, which is made positive and reduces those above it."""
+    n = len(rows)
+    r = 0
+    for c in range(width):
+        if r >= n:
+            break
+        while True:
+            nz = [i for i in range(r, n) if rows[i][c]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            if len(nz) == 1:
+                break
+            p = rows[r]
+            for i in range(r + 1, n):
+                q = rows[i][c] // p[c]
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], p)]
+        p = rows[r]
+        if p[c]:
+            if p[c] < 0:
+                p = rows[r] = [-a for a in p]
+            for i in range(r):
+                q = rows[i][c] // p[c]
+                if q:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], p)]
+            r += 1
+    return r
+
+
+def _hermite_with(A, B):
+    """(H, W*B) for the Hermite form W*A = H: one :func:`_echelon` on the
+    rows of [A | B], split after A's columns."""
+    width = len(A[0]) if A else 0
+    rows = [list(a) + list(b) for a, b in zip(A, B)]
+    _echelon(rows, width)
+    return [r[:width] for r in rows], [r[width:] for r in rows]
 
 
 def hermite_normal_form(A):
@@ -38,50 +68,8 @@ def hermite_normal_form(A):
     H is in row echelon form over Z with positive pivots; entries above a
     pivot are reduced into [0, pivot).
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    H = [list(r) for r in A]
-    U = identity_matrix(rows)
-
-    def swap(i, j):
-        H[i], H[j] = H[j], H[i]
-        U[i], U[j] = U[j], U[i]
-
-    def addrow(src, dst, k):
-        # dst += k * src
-        H[dst] = [a + k * b for a, b in zip(H[dst], H[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-
-    def negate(i):
-        H[i] = [-a for a in H[i]]
-        U[i] = [-a for a in U[i]]
-
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        # repeatedly reduce by the smallest nonzero entry in the column
-        while True:
-            nz = [i for i in range(r, rows) if H[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(H[i][c]))
-            if piv != r:
-                swap(r, piv)
-            if len(nz) == 1:
-                break
-            for i in range(r + 1, rows):
-                if H[i][c] != 0:
-                    addrow(r, i, -(H[i][c] // H[r][c]))
-        if H[r][c] != 0:
-            if H[r][c] < 0:
-                negate(r)
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q:
-                    addrow(r, i, -q)
-            r += 1
-    return H, U
+    n = len(A)
+    return _hermite_with(A, ([int(i == j) for j in range(n)] for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,32 +85,32 @@ def smith_normal_form(A):
     and A = U*S*V exactly.
 
     Row and column Hermite forms alternate, keeping P*A*Q = S, until S is
-    diagonal (as in Kannan-Bachem); a pair di, dj with di not dividing dj
-    is merged by adding column j to column i, after which the row form
-    replaces di by gcd(di, dj).  The Hermite form of a unimodular matrix is
-    I, so its transform is the inverse: U = P^-1 and V = Q^-1.
+    diagonal (as in Kannan-Bachem): a row step is the Hermite form of
+    [S | P], a column step that of [S^T | Q^T].  A pair di, dj with di not
+    dividing dj is merged by adding column j to column i of S and Q, after
+    which the row form replaces di by gcd(di, dj).  The Hermite form of a
+    unimodular matrix is I, so its transform is the inverse: U = P^-1 and
+    V = Q^-1.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
-    if not cols:
-        return identity_matrix(rows), [list(r) for r in A], []
     S, P = hermite_normal_form(A)
-    Q = identity_matrix(cols)
+    if not cols:
+        return P, S, []
+    T, Qt = hermite_normal_form(_transpose(S))    # T = S^T, Qt = Q^T
     while True:
-        T, W = hermite_normal_form(_transpose(S))
-        S, Q = _transpose(T), mat_mul(Q, _transpose(W))
-        if not any(S[i][j] for i in range(rows) for j in range(cols) if i != j):
-            diag = [S[i][i] for i in range(min(rows, cols))]
+        if not any(T[j][i] for i in range(rows) for j in range(cols) if i != j):
+            diag = [T[i][i] for i in range(min(rows, cols))]
             pair = next(((i, j) for i, d in enumerate(diag) if d
                          for j in range(i + 1, len(diag)) if diag[j] % d), None)
             if pair is None:
-                return hermite_normal_form(P)[1], S, hermite_normal_form(Q)[1]
+                return (hermite_normal_form(P)[1], _transpose(T),
+                        hermite_normal_form(_transpose(Qt))[1])
             i, j = pair
-            for M in (S, Q):
-                for row in M:
-                    row[i] += row[j]
-        S, W = hermite_normal_form(S)
-        P = mat_mul(W, P)
+            for M in (T, Qt):
+                M[i] = [a + b for a, b in zip(M[i], M[j])]
+        S, P = _hermite_with(_transpose(T), P)
+        T, Qt = _hermite_with(_transpose(S), Qt)
 
 
 def solve_integer(A, b, cols):
@@ -303,11 +291,8 @@ def lattice_from_generators(ambient_dim, generators):
     for g in gens:
         if len(g) != ambient_dim:
             raise DimensionMismatch("generator has wrong length")
-    if not gens:
-        return Lattice(ambient_dim, ())
-    H, _ = hermite_normal_form(gens)
-    basis = tuple(tuple(r) for r in H if any(v != 0 for v in r))
-    return Lattice(ambient_dim, basis)
+    rank = _echelon(gens, ambient_dim)
+    return Lattice(ambient_dim, tuple(tuple(r) for r in gens[:rank]))
 
 
 def _pivot_col(row):

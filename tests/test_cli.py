@@ -169,6 +169,9 @@ NO_TRACEBACK = {
         ["oracle", "--template", data("introN_3.mon"), "--instance", "free.inst"],
         {"free.inst": "instance 1200\n"}, 0,
         "sat\n" + "".join(f"x{i} = 0\n" for i in range(1200))),
+    "polysearch-arity-huge": (
+        ["polysearch", "--lhs", data("introN_3.mon"), "--rhs", data("introN_3.mon"),
+         "--arity", "100000001"], {}, 11, "none\n"),
 }
 
 

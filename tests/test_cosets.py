@@ -70,6 +70,20 @@ def test_setprod_and_tensor_power():
     assert tensor_power(M, {1}, 3) == frozenset({3})
 
 
+def test_tensor_power_reads_late_powers_off_the_cycle(deadline):
+    rng = random.Random(5)
+    for M in (cyclic(6), semilattice_chain(4), null_extension(),
+              direct_product(cyclic(2), semilattice_chain(3))):
+        for _ in range(5):
+            U = frozenset(rng.sample(M.elements, rng.randint(1, 3)))
+            power = U
+            for n in range(1, 41):
+                assert tensor_power(M, U, n) == power
+                power = setprod(M, power, U)
+    with deadline(1):
+        assert tensor_power(cyclic(5), {1}, 10**9) == {0}
+
+
 def test_elem_inverse_is_a_group_inverse():
     for M in (cyclic(6), semilattice_chain(3),
               direct_product(cyclic(2), semilattice_chain(2))):

@@ -9,8 +9,10 @@ from monoidpcsp.errors import (
     ArityMismatch,
     BudgetExceeded,
     ParseError,
+    TooLarge,
     ValidationError,
 )
+from monoidpcsp import model
 from monoidpcsp.model import (
     Identity,
     Product,
@@ -44,6 +46,17 @@ def test_make_instance_rejects_bad_indices():
         make_instance(1, [Identity(-1)])
     with pytest.raises(ValidationError):
         make_instance(-2, [])
+
+
+def test_make_instance_refuses_a_variable_count_over_the_bound():
+    """Every pass over an instance sizes its lists by the variable count,
+    so the count is bounded before anything is allocated."""
+    with pytest.raises(TooLarge):
+        make_instance(10**12, [])
+    bound = model.MAX_VARIABLES
+    assert make_instance(bound, []).var_count == bound
+    with pytest.raises(TooLarge):
+        make_instance(bound + 1, [])
 
 
 def test_make_finite_template_validates_tuples():

@@ -272,3 +272,17 @@ def test_pmc_reduce_validates_symbol_arity():
     cond = make_minor_condition([("f", 3)], [("g", 1)], [("f", "g", (0, 0, 0))])
     with pytest.raises(ValidationError):
         pmc_reduce(cond, T, T, 2)
+
+
+def test_pmc_reduce_refuses_a_huge_arity_before_the_power(deadline):
+    """The arity is checked against the cap before |M|^N is formed: over
+    the one-element monoid the power is 1 whatever N is, and over Z/3 it
+    would be a ten-million-digit integer."""
+    cond = make_minor_condition([("f", 2)], [("g", 1)], [("f", "g", (0, 0))])
+    T = data_template("trivial.mon")
+    with pytest.raises(TooLarge):
+        pmc_reduce(cond, T, T, 10**6, cap=1000)
+    T = data_template("introN_3.mon")
+    cond = make_minor_condition([("f", 2)], [("g", 3)], [("f", "g", (0, 1))])
+    with deadline(1), pytest.raises(TooLarge):
+        pmc_reduce(cond, T, T, 10**7)

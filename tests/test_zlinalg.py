@@ -91,6 +91,29 @@ def test_snf_reconstruction_and_divisibility(deadline):
                 assert b == 0
 
 
+def test_lattice_basis_is_the_nonzero_hermite_rows():
+    rng = random.Random(17)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        G = random_matrix(rng, rows, cols)
+        H = hermite_normal_form(G)[0] if G else []
+        assert lattice_from_generators(cols, G).basis == \
+            tuple(tuple(r) for r in H if any(r))
+
+
+def test_lattice_basis_builds_no_transform(monkeypatch):
+    widths = []
+    echelon = zlinalg._echelon
+
+    def spy(rows, width):
+        widths.extend(len(r) for r in rows)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(zlinalg, "_echelon", spy)
+    lattice_from_generators(4, random_matrix(random.Random(19), 9, 4))
+    assert widths == [4] * 9
+
+
 def test_snf_known_values():
     _, S, _ = smith_normal_form([[1, 0], [0, 1]])
     assert [S[0][0], S[1][1]] == [1, 1]
