@@ -8,8 +8,6 @@ witness image with the coset closure as relation, which sits between relM
 and relN.
 """
 
-from dataclasses import dataclass
-
 from .core import (
     CartesianPower,
     enumerate_homs,
@@ -21,11 +19,12 @@ from .cosets import coset_closure, is_coset
 from .errors import PromiseViolation
 from .model import Template, check_pair, finite_carrier, is_nf_template
 # nf_hom_image and nf_relation_image live beside NFHom and are re-exported here
+from .record import record
 from .regularize import ab_reg, homs_into, nf_hom_image, nf_relation_image  # noqa: F401
 from .solver import projected_semilattice_template
 
 
-@dataclass(frozen=True)
+@record
 class Classification:
     verdict: str                 # "Tractable" or "NPHard"
     witness: object = None       # MonoidHom or NFHom, Tractable only

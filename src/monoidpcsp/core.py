@@ -5,7 +5,6 @@ Elements of a monoid of size n are the integers 0..n-1.  All operations are
 pure; monoids and homomorphisms are immutable after construction.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import (
@@ -16,9 +15,10 @@ from .errors import (
     NotRegular,
     TooLarge,
 )
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class FiniteMonoid:
     """A finite monoid given by its multiplication table.
 
@@ -60,11 +60,19 @@ class FiniteMonoid:
 
 
 def validate_monoid(table, identity):
-    """Check associativity and the identity laws exhaustively and return a
+    """Check the identity laws and associativity and return a
     :class:`FiniteMonoid`.
 
-    Raises :class:`NotAssociative` (with a witness triple) or
-    :class:`NoIdentity` (with a witness element).
+    Associativity is Light's test: (a*b)*g = a*(b*g) is checked for every
+    a, b and for g in a generating set only.  It is exact.  Let G be the set
+    of g that pass for every a and b.  The identity is in G by the identity
+    laws.  For g, h in G and any a, b,
+    (a*b)*(g*h) = ((a*b)*g)*h = (a*(b*g))*h = a*((b*g)*h) = a*(b*(g*h)),
+    using h, g, h and h in turn, so G is closed under products.  Every
+    element is a product of generators, so G holds every element.
+
+    Raises :class:`NotAssociative` with the lexicographically first failing
+    triple, or :class:`NoIdentity` with a witness element.
     """
     n = len(table)
     if n == 0:
@@ -81,18 +89,41 @@ def validate_monoid(table, identity):
     for a in range(n):
         if tab[identity][a] != a or tab[a][identity] != a:
             raise NoIdentity(a)
+    M = FiniteMonoid(tab, identity)
+    for g in _reaching_generators(M):
+        column = [row[g] for row in tab]
+        # (a*b)*g against a*(b*g), over all b at once
+        for row_a in tab:
+            if [column[ab] for ab in row_a] != [row_a[bg] for bg in column]:
+                raise NotAssociative(_first_non_associative_triple(tab))
+    return M
+
+
+def _reaching_generators(M):
+    """A generating set chosen greedily: each element that the products of
+    the generators so far do not reach becomes a generator.  M need not be
+    associative; every reached element is still a product of generators."""
+    gens = []
+    reached = frozenset((M.identity,))
+    for a in M.elements:
+        if a not in reached:
+            gens.append(a)
+            reached = closed_under(M, reached | {a}, gens)
+    return gens
+
+
+def _first_non_associative_triple(tab):
+    n = len(tab)
     for a in range(n):
         for b in range(n):
-            ab = tab[a][b]
+            row_ab = tab[tab[a][b]]
             row_b = tab[b]
-            row_ab = tab[ab]
             for c in range(n):
                 if row_ab[c] != tab[a][row_b[c]]:
-                    raise NotAssociative((a, b, c))
-    return FiniteMonoid(tab, identity)
+                    return (a, b, c)
 
 
-@dataclass(frozen=True)
+@record
 class MonoidHom:
     """A monoid homomorphism between two finite monoids, stored as the full
     image tuple ``images[a] = f(a)``.

@@ -8,8 +8,6 @@ powers without materializing their tables.  The element primitives
 :mod:`core`.  Cosets are only meaningful in a commutative ambient monoid.
 """
 
-from dataclasses import dataclass
-
 from .core import (
     CartesianPower,
     closed_under,
@@ -23,6 +21,7 @@ from .core import (
     submonoid,
 )
 from .errors import MonoidError, NotCommutative, NotRegular
+from .record import record
 
 
 def _check_commutative(ops):
@@ -61,7 +60,7 @@ def dagger_set(ops, U):
     return frozenset(ops.mul(a, d_of(ops, a)) for a in U)
 
 
-@dataclass(frozen=True)
+@record
 class CosetData:
     """A validated coset: members satisfy U x (U^-1 x U) = U."""
 

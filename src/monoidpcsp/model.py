@@ -15,9 +15,7 @@ carrier where a finite one is needed, ``check_pair`` checks a promise pair
 constraints of an instance against a template.
 """
 
-from dataclasses import dataclass
-
-from .core import FiniteMonoid, backtrack, monoid_from_keyword, validate_monoid
+from .core import backtrack, monoid_from_keyword, validate_monoid
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -25,6 +23,7 @@ from .errors import (
     TooLarge,
     ValidationError,
 )
+from .record import record
 from .regularize import (
     NormalFormMonoid,
     integers_nf,
@@ -43,7 +42,7 @@ from .zlinalg import (
 # Constraints and instances
 
 
-@dataclass(frozen=True)
+@record
 class Product:
     x: object
     y: object
@@ -54,7 +53,7 @@ class Product:
         return (self.x, self.y, self.z)
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     x: object
 
@@ -63,12 +62,12 @@ class Identity:
         return (self.x,)
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     vars: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     var_count: int
     constraints: tuple
@@ -97,7 +96,7 @@ def make_instance(var_count, constraints):
 # Templates
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One lattice-coset block of a normal-form relation: the elements
     [d_1, v_1], ..., [d_r, v_r] whose concatenated vector lies in the coset."""
@@ -106,7 +105,7 @@ class Block:
     coset: LatticeCoset
 
 
-@dataclass(frozen=True)
+@record
 class BlockRelation:
     """A normal-form relation: the union of its blocks.  Iterating yields the
     blocks; ``in`` tests a tuple of NFElements."""
@@ -127,7 +126,7 @@ class BlockRelation:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class Template:
     carrier: object
     arity: int
@@ -352,10 +351,9 @@ def _parse_table(cur, keyword):
     size, identity = _fields(cur, keyword, 2)
     rows = [tuple(parse_ints(*cur.take(), size)) for _ in range(size)]
     try:
-        validate_monoid(tuple(rows), identity)
+        return validate_monoid(rows, identity)
     except Exception as e:
         raise ValidationError(str(e)) from e
-    return FiniteMonoid(tuple(rows), identity)
 
 
 def _parse_nf(cur):

@@ -3,7 +3,6 @@
 promise minor conditions to instances.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import (
@@ -30,6 +29,7 @@ from .model import (
     make_instance,
     parse_ints,
 )
+from .record import record
 from .regularize import homs_into
 
 # bound on every brute-force search over tables and assignments below
@@ -40,7 +40,7 @@ SEARCH_CAP = 200_000
 # Componentwise polymorphisms
 
 
-@dataclass(frozen=True)
+@record
 class HomPolymorphism:
     """The map (x_1, ..., x_n) -> f_1(x_1) * ... * f_n(x_n) given by component
     homomorphisms with pairwise commuting images."""
@@ -106,7 +106,7 @@ def minor(f, sigma, m=None):
 # Polymorphism checking
 
 
-@dataclass(frozen=True)
+@record
 class TableMap:
     """An explicit finite map M^arity -> N, for brute-force polymorphism
     work at small sizes."""
@@ -146,6 +146,8 @@ def find_block_symmetric(relM, relN, i):
     :func:`is_polymorphism` test on these two sets, stopping at the first
     product outside relN's relation."""
     check_pair(relM, relN)
+    if 2 * i + 1 > SEARCH_CAP:
+        raise TooLarge("polymorphism arity exceeds the cap")
     homs = homs_into(relM.carrier, relN.carrier)
     if len(homs) ** 2 > SEARCH_CAP:
         raise TooLarge("too many homomorphism pairs")
@@ -168,7 +170,7 @@ def find_block_symmetric(relM, relN, i):
 # Minor conditions
 
 
-@dataclass(frozen=True)
+@record
 class MinorCondition:
     """Symbols with arities on two sides, and edges (u, v, phi) asserting
     that the v-function is the phi-minor of the u-function, with
@@ -359,7 +361,10 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=SEARCH_CAP):
         raise ValidationError("the reduction needs a positive arity")
     if any(k > N_arity for k in arity.values()):
         raise ValidationError("symbol arity exceeds the padding arity")
-    if N_arity > cap or M.size ** N_arity > cap:
+    # 2^N > cap once N exceeds the bit length of cap, so a huge power is
+    # refused without being formed
+    if (N_arity > cap or (M.size > 1 and N_arity > cap.bit_length())
+            or M.size ** N_arity > cap):
         raise TooLarge("carrier power exceeds the cap")
     P = CartesianPower(M, N_arity)
     U = _unit_insertion_generators(M, N_arity, minimal_generating_set(M))

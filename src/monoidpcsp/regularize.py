@@ -3,7 +3,6 @@ semilattice-with-integer-coordinates normal form for finitely generated
 commutative regular monoids.
 """
 
-from dataclasses import dataclass
 from itertools import product
 
 from .core import (
@@ -32,6 +31,7 @@ from .errors import (
     NotRegular,
     TargetNotRegularCommutative,
 )
+from .record import record
 from .zlinalg import Lattice, lattice_from_generators, lattice_member, reduce_mod_lattice
 
 
@@ -39,7 +39,7 @@ from .zlinalg import Lattice, lattice_from_generators, lattice_member, reduce_mo
 # Congruence quotients
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceQuotient:
     source: FiniteMonoid
     class_of: tuple
@@ -153,7 +153,7 @@ def verify_universal_property(q, targets):
 # Normal form for finitely generated commutative regular monoids
 
 
-@dataclass(frozen=True)
+@record
 class NormalFormMonoid:
     """A finitely generated commutative regular monoid presented by a finite
     semilattice, coordinate supports, and relation lattices.
@@ -239,7 +239,7 @@ def make_normal_form(semilattice, num_coords, lam, xi, anchors):
     return NormalFormMonoid(N, num_coords, lam, xi, anchors)
 
 
-@dataclass(frozen=True)
+@record
 class NFElement:
     nf: NormalFormMonoid
     d: int
@@ -284,7 +284,7 @@ def integers_nf():
 # Finite -> normal form conversion
 
 
-@dataclass(frozen=True)
+@record
 class NFIsomorphism:
     """Isomorphism data between a finite commutative regular monoid and its
     normal form: encode/decode round-trip maps."""
@@ -361,7 +361,7 @@ def to_normal_form(M, generators):
 # Homomorphisms from a normal form into a finite monoid
 
 
-@dataclass(frozen=True)
+@record
 class NFHom:
     """Homomorphism from a normal-form monoid into a finite monoid, given by
     images of the semilattice elements and of the coordinate generators.

@@ -3,8 +3,6 @@ coset: arc-consistency on the idempotent projection, then an integer linear
 system on the coordinate vectors of the normal form.
 """
 
-from dataclasses import dataclass
-
 from .core import CartesianPower, minimal_generating_set
 from .cosets import is_coset
 from .errors import NotACoset, ValidationError
@@ -17,6 +15,7 @@ from .model import (
     is_nf_template,
     make_nf_template,
 )
+from .record import record
 from .regularize import nf_element, to_normal_form
 from .zlinalg import solve_integer
 
@@ -77,7 +76,7 @@ def minimal_homomorphism(TI, I):
 # The integer system
 
 
-@dataclass(frozen=True)
+@record
 class SigmaSystem:
     """Linear system over Z whose solvability decides the instance above a
     fixed minimal homomorphism h.

@@ -7,11 +7,11 @@ coefficient growth is handled by arbitrary precision automatically.
 """
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .errors import DimensionMismatch
+from .record import record
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _solve_dense(A, b):
 # Lattices and lattice cosets
 
 
-@dataclass(frozen=True)
+@record
 class Lattice:
     """Sublattice of Z^ambient_dim spanned by the (Hermite-reduced) basis rows.
 
@@ -318,7 +318,7 @@ def lattice_member(v, L):
     return not any(reduce_mod_lattice(v, L))
 
 
-@dataclass(frozen=True)
+@record
 class LatticeCoset:
     offset: tuple
     lattice: Lattice

@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -171,7 +173,17 @@ NO_TRACEBACK = {
         "sat\n" + "".join(f"x{i} = 0\n" for i in range(1200))),
     "polysearch-arity-huge": (
         ["polysearch", "--lhs", data("introN_3.mon"), "--rhs", data("introN_3.mon"),
-         "--arity", "100000001"], {}, 11, "none\n"),
+         "--arity", "100000001"], {}, 3, ""),
+    # a polymorphism exists at every arity here, so only the cap stops the
+    # search from building one of 10^8 components
+    "polysearch-arity-huge-hit": (
+        ["polysearch", "--lhs", "c3.mon", "--rhs", "one.mon", "--arity", "100000001"],
+        {"c3.mon": "cyclic:3\nrel 1\ntuple 0\ntuple 1\n",
+         "one.mon": "monoid 1 0\n0\nrel 1\ntuple 0\n"}, 3, ""),
+    "pmc-reduce-power-huge": (
+        ["pmc-reduce", "--lhs", data("introN_3.mon"), "--rhs", data("introN_3.mon"),
+         "--arity", "10000000", "--cap-power", "1000000000", "--instance", "empty.mc"],
+        {"empty.mc": ""}, 3, ""),
 }
 
 
@@ -184,6 +196,14 @@ def test_cli_answers_without_a_traceback(name, tmp_path, capsys, deadline):
     assert got in (0, 2, 3, 10, 11) and got == code
     assert err == "" or err.startswith("error: ")
     assert out == stdout
+
+
+def test_pmc_reduce_refuses_a_huge_power_without_forming_it(tmp_path, deadline):
+    # 3^(10^7) has about 1.6 * 10^7 bits and takes seconds to form, so the
+    # refusal must come before it
+    argv, files, code, _ = NO_TRACEBACK["pmc-reduce-power-huge"]
+    with deadline(1):
+        assert main(_write(argv, files, tmp_path)) == code
 
 
 @pytest.mark.parametrize("name", ["nf-anchor-range", "nf-block-negative",
@@ -353,3 +373,18 @@ def test_parse_error_is_input_error(tmp_path):
     inst.write_text("instance 2\nREL 0 1\n")
     code, out = run(["solve", "--template", str(lhs), "--instance", str(inst)])
     assert (code, out) == (2, "")
+
+
+def test_cli_import_path_keeps_off_dataclasses_and_inspect():
+    # a fresh interpreter imports the CLI; the modules it adds are the ones
+    # every CLI call pays for at start-up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; b = set(sys.modules); import monoidpcsp.cli; "
+            "print(*sorted(set(sys.modules) - b))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = out.split()
+    assert "monoidpcsp.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added

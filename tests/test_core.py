@@ -33,6 +33,7 @@ from monoidpcsp.core import (
     submonoid,
     validate_monoid,
     FiniteMonoid,
+    _reaching_generators,
 )
 from monoidpcsp.errors import (
     MonoidError,
@@ -59,6 +60,63 @@ def test_validate_rejects_wrong_identity():
     M = cyclic(3)
     with pytest.raises((NoIdentity, MonoidError)):
         validate_monoid(M.table, 1)
+
+
+def first_non_associative_triple(table):
+    """The reference: the lexicographically first (a, b, c) with
+    (a*b)*c != a*(b*c), by the cubic scan, or None."""
+    n = len(table)
+    for a, b, c in product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def validation_triple(table, identity):
+    """None when validate_monoid accepts the table, else its triple."""
+    try:
+        validate_monoid(table, identity)
+    except NotAssociative as e:
+        return e.triple
+    return None
+
+
+def random_table_with_identity(rng, n):
+    table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        table[0][a] = table[a][0] = a
+    return table
+
+
+def test_associativity_check_agrees_with_the_cubic_scan():
+    rng = random.Random(19)
+    tables = [random_table_with_identity(rng, n)
+              for n in (1, 2, 3, 4, 5) for _ in range(300)]
+    # one changed entry of a monoid fails late or not at all
+    for M in (cyclic(4), flipflop1(), null_extension(),
+              direct_product(cyclic(2), semilattice_chain(3))):
+        for _ in range(100):
+            table = [list(row) for row in M.table]
+            a, b = rng.randrange(1, M.size), rng.randrange(1, M.size)
+            table[a][b] = rng.randrange(M.size)
+            tables.append(table)
+    verdicts = set()
+    for table in tables:
+        expected = first_non_associative_triple(table)
+        assert validation_triple(table, 0) == expected
+        verdicts.add(expected is None)
+    assert verdicts == {True, False}
+
+
+def test_associativity_check_on_chains_where_every_element_generates():
+    for k in (3, 17, 64):
+        M = monoid_from_keyword(f"semilattice:chain:{k}")
+        assert _reaching_generators(M) == list(range(1, k))
+        assert validate_monoid(M.table, M.identity) == M
+        table = [list(row) for row in M.table]
+        table[k - 1][1] = 0   # then ((k-1)*1)*1 = 1 but (k-1)*(1*1) = 0
+        assert validation_triple(table, 0) == first_non_associative_triple(table)
+        assert validation_triple(table, 0) is not None
 
 
 def test_green_preorder_is_reflexive_and_transitive():
