@@ -146,8 +146,6 @@ def find_block_symmetric(relM, relN, i):
     :func:`is_polymorphism` test on these two sets, stopping at the first
     product outside relN's relation."""
     check_pair(relM, relN)
-    if 2 * i + 1 > SEARCH_CAP:
-        raise TooLarge("polymorphism arity exceeds the cap")
     homs = homs_into(relM.carrier, relN.carrier)
     if len(homs) ** 2 > SEARCH_CAP:
         raise TooLarge("too many homomorphism pairs")
@@ -162,6 +160,10 @@ def find_block_symmetric(relM, relN, i):
             if not _images_commute(F, g1, g2):
                 continue
             if A <= rel if i == 0 else all(P.mul(x, y) in rel for x in A for y in B):
+                # a hit has one component per argument; the search itself
+                # only takes set powers, so it answers at any arity
+                if 2 * i + 1 > SEARCH_CAP:
+                    raise TooLarge("polymorphism arity exceeds the cap")
                 return HomPolymorphism(tuple([g1] * (i + 1) + [g2] * i))
     return None
 

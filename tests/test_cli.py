@@ -173,7 +173,7 @@ NO_TRACEBACK = {
         "sat\n" + "".join(f"x{i} = 0\n" for i in range(1200))),
     "polysearch-arity-huge": (
         ["polysearch", "--lhs", data("introN_3.mon"), "--rhs", data("introN_3.mon"),
-         "--arity", "100000001"], {}, 3, ""),
+         "--arity", "100000001"], {}, 11, "none\n"),
     # a polymorphism exists at every arity here, so only the cap stops the
     # search from building one of 10^8 components
     "polysearch-arity-huge-hit": (

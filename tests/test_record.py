@@ -15,17 +15,28 @@ class Pair:
     right: object = 0
 
 
-def test_fields_in_order_positional_or_keyword():
-    assert Pair(1, 2) == Pair(right=2, left=1) == Pair(1, right=2)
+def test_fields_in_order_with_trailing_defaults():
+    assert Pair(1, 2).right == 2
     assert Pair(1) == Pair(1, 0)
     with pytest.raises(TypeError):
         Pair()
     with pytest.raises(TypeError):
         Pair(1, 2, 3)
     with pytest.raises(TypeError):
-        Pair(1, left=1)
+        Pair(1, right=2)
+
+
+def test_a_class_without_fields_or_with_a_default_first_is_refused():
     with pytest.raises(TypeError):
-        Pair(1, other=2)
+        @record
+        class Empty:
+            label = "empty"
+
+    with pytest.raises(TypeError):
+        @record
+        class DefaultFirst:
+            left: object = 0
+            right: object
 
 
 def test_equal_fields_in_different_classes_compare_unequal():
@@ -68,12 +79,12 @@ def test_instances_are_frozen_and_class_attributes_are_not():
         del Pair.label
 
 
-def test_keyword_construction_and_defaults():
+def test_default_fields():
     c = Classification("NPHard")
     assert (c.verdict, c.witness, c.sandwich, c.sandwich_embedding) == (
         "NPHard", None, None, None)
-    assert Classification(verdict="Tractable", sandwich_embedding=(0,)) == \
-        Classification("Tractable", None, None, (0,))
+    assert Classification("Tractable", (1,)) == \
+        Classification("Tractable", (1,), None, None)
 
 
 def test_post_init_checks_still_run():
