@@ -564,18 +564,14 @@ MAX_KEYWORD_ORDER = 1024
 def monoid_from_keyword(word):
     if word == "flipflop1":
         return flipflop1()
-    if word.startswith("cyclic:"):
-        return cyclic(_keyword_order(word, 1))
-    if word.startswith("semilattice:chain:"):
-        return semilattice_chain(_keyword_order(word, 2))
-    raise MonoidError(f"unknown monoid keyword {word!r}")
-
-
-def _keyword_order(word, field):
-    k = int(word.split(":")[field])
+    kind, _, order = word.rpartition(":")
+    build = {"cyclic": cyclic, "semilattice:chain": semilattice_chain}.get(kind)
+    if build is None:
+        raise MonoidError(f"unknown monoid keyword {word!r}")
+    k = int(order)
     if k > MAX_KEYWORD_ORDER:
         raise TooLarge(f"carrier {word!r} has more than {MAX_KEYWORD_ORDER} elements")
-    return k
+    return build(k)
 
 
 def format_monoid(M):

@@ -64,7 +64,6 @@ def dagger_set(ops, U):
 class CosetData:
     """A validated coset: members satisfy U x (U^-1 x U) = U."""
 
-    ambient: object
     members: frozenset
 
 
@@ -91,18 +90,17 @@ def coset_closure(ops, U):
     lies in S, so C^-1 x C <= S by the same factorization.  Together they
     give the coset equation C x (C^-1 x C) <= C.
 
-    The empty set is treated as a degenerate coset with [{}] = {}.
+    The empty set is a degenerate coset with [{}] = {}: it has no
+    candidates, the closure of {} is {}, and the check holds vacuously.
     """
     _check_commutative(ops)
     U = frozenset(U)
-    if not U:
-        return CosetData(ops, U)
     gens, S = _difference_monoid(ops, U)
     closure = closed_under(ops, U, gens)
     if not (all(ops.mul(c, g) in closure for c in closure for g in gens)
             and all(d in S for d in _difference_candidates(ops, closure))):
         raise MonoidError("internal: closure fails the coset equation")
-    return CosetData(ops, closure)
+    return CosetData(closure)
 
 
 def _difference_candidates(ops, U):

@@ -9,6 +9,7 @@ from .core import (
     CartesianPower,
     backtrack,
     commute,
+    is_hom_map,
     minimal_generating_set,
 )
 from .cosets import setprod, tensor_power
@@ -112,8 +113,6 @@ class TableMap:
     work at small sizes."""
 
     arity: int
-    source: object
-    target: object
     table: dict
 
     def __call__(self, args):
@@ -235,7 +234,7 @@ def _table_minor(f, phi, m, M):
     table = {}
     for args in product(M.elements, repeat=m):
         table[args] = f(tuple(args[phi[j]] for j in range(f.arity)))
-    return TableMap(m, M, f.target, table)
+    return TableMap(m, table)
 
 
 def all_table_polymorphisms(relM, relN, arity):
@@ -249,17 +248,15 @@ def all_table_polymorphisms(relM, relN, arity):
     if (M.size ** (2 * arity) > SEARCH_CAP
             or (len(relM.relation) or 1) ** arity > SEARCH_CAP):
         raise TooLarge("table polymorphism check exceeds the cap")
-    unit = (M.identity,) * arity
+    P = CartesianPower(M, arity)
     out = []
     for values in product(N.elements, repeat=len(keys)):
         t = dict(zip(keys, values))
-        if (t[unit] == N.identity
-                and all(t[tuple(map(M.mul, a, b))] == N.mul(t[a], t[b])
-                        for a, b in product(keys, repeat=2))
+        if (is_hom_map(P, N, t)
                 and all(tuple(t[tuple(row[j] for row in rows)]
                               for j in range(relN.arity)) in relN.relation
                         for rows in product(relM.relation, repeat=arity))):
-            out.append(TableMap(arity, M, N, t))
+            out.append(TableMap(arity, t))
     return out
 
 

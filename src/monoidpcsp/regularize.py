@@ -9,6 +9,7 @@ from .core import (
     CartesianPower,
     FiniteMonoid,
     MonoidHom,
+    backtrack,
     closed_under,
     commute,
     d_of,
@@ -449,37 +450,38 @@ def homs_into(M, F):
 
 
 def nf_homs_to_finite(NF, F):
-    """All monoid homomorphisms from NF into the finite monoid F, in
-    deterministic (lexicographic) order.
+    """All monoid homomorphisms from NF into the finite monoid F, ordered by
+    (phi_images, gen_images).
 
-    A hom is determined by a semilattice map phi into commuting idempotents
-    of F and regular generator images g_alpha with d_{g_alpha} =
-    phi(anchor(alpha)), subject to the relation-lattice identities.
+    A hom is a semilattice hom phi: N -> F and regular generator images
+    g_alpha, d_{g_alpha} = phi(anchor(alpha)), that commute with each other
+    and with phi's images and satisfy the relation-lattice identities.  phi
+    needs no more test: phi(d)^2 = phi(d^2) = phi(d) and phi(a)phi(b) =
+    phi(ab) = phi(ba).  :func:`core.backtrack` tests g_alpha against the
+    earlier g and phi's images, and against each row of xi whose last
+    non-zero coordinate is alpha.  enumerate_homs yields phi in image order
+    and backtrack the g in lexicographic order, so the list needs no sort.
     """
-    N = NF.semilattice
-    idem_F = idempotents(F)
     regular_of = {}     # idempotent e -> its maximal subgroup, in element order
     for a in F.elements:
         e = d_of(F, a)
         if F.mul(e, a) == a:
             regular_of.setdefault(e, []).append(a)
+    relators_at = [[] for _ in range(NF.num_coords)]   # by last non-zero alpha
+    for d in NF.semilattice.elements:
+        for row in NF.xi[d].basis:
+            last = max(j for j, n in enumerate(row) if n)
+            relators_at[last].append((d, row))
+
+    def accept(alpha, g):
+        x = g[alpha]
+        return (commute(F, (x,), g[:alpha]) and commute(F, (x,), phis)
+                and all(eval_exponents(F, phis[d], g, row) == phis[d]
+                        for d, row in relators_at[alpha]))
+
     out = []
-    for phi in enumerate_homs(N, F):
-        if not all(phi(d) in idem_F for d in N.elements):
-            continue
-        phis = tuple(phi(d) for d in N.elements)
-        if not commute(F, phis, phis):
-            continue
+    for phi in enumerate_homs(NF.semilattice, F):
+        phis = phi.images
         candidates = [regular_of[phis[d]] for d in NF.anchors]
-        for gen_imgs in product(*candidates):
-            if not commute(F, gen_imgs, gen_imgs + phis):
-                continue
-            if _relators_hold(NF, F, phis, gen_imgs):
-                out.append(NFHom(NF, F, phis, gen_imgs))
-    out.sort(key=lambda h: (h.phi_images, h.gen_images))
+        out.extend(NFHom(NF, F, phis, g) for g in backtrack(candidates, accept))
     return out
-
-
-def _relators_hold(NF, F, phis, gen_imgs):
-    return all(eval_exponents(F, phis[d], gen_imgs, row) == phis[d]
-               for d in NF.semilattice.elements for row in NF.xi[d].basis)

@@ -84,8 +84,6 @@ class SigmaSystem:
     Columns 0 .. var_count*q - 1 hold the coordinate vectors v^x; further
     columns hold fresh multipliers for relation-lattice generators.  A row is
     a tuple of non-zero (column, coefficient) pairs by ascending column.
-    missing_block records a relation constraint with no block for its
-    projected d-tuple, which forecloses solvability.
     """
 
     var_count: int
@@ -93,10 +91,16 @@ class SigmaSystem:
     num_multipliers: int
     matrix: tuple
     rhs: tuple
-    missing_block: object
 
 
 def build_sigma(T, I, h):
+    """The system Sigma of T and I above the least hom h of
+    :func:`minimal_homomorphism`.
+
+    Every relation constraint's d-tuple under h names a block: h is returned
+    only after check_assignment(TI, I, h), and the relation of TI is exactly
+    the blocks' d-tuples.
+    """
     NF = T.carrier
     q = NF.num_coords
     base = I.var_count * q
@@ -111,7 +115,6 @@ def build_sigma(T, I, h):
         for alpha in range(q):
             if alpha not in NF.lam[h[x]]:
                 rows.append(({col(x, alpha): 1}, 0))
-    missing = None
     for c in I.constraints:
         if isinstance(c, Identity):
             for alpha in range(q):
@@ -128,11 +131,7 @@ def build_sigma(T, I, h):
                 coeffs.update((start + k, -u[alpha]) for k, u in enumerate(W))
                 rows.append((coeffs, 0))
         else:
-            d_tuple = tuple(h[v] for v in c.vars)
-            if d_tuple not in blocks:
-                missing = d_tuple
-                continue
-            coset = blocks[d_tuple]
+            coset = blocks[tuple(h[v] for v in c.vars)]
             V = coset.lattice.basis
             start = base + multipliers
             multipliers += len(V)
@@ -145,7 +144,7 @@ def build_sigma(T, I, h):
     matrix = tuple(tuple(sorted((j, a) for j, a in coeffs.items() if a))
                    for coeffs, _ in rows)
     rhs = tuple(r for _, r in rows)
-    return SigmaSystem(I.var_count, q, multipliers, matrix, rhs, missing)
+    return SigmaSystem(I.var_count, q, multipliers, matrix, rhs)
 
 
 def projected_semilattice_template(T):
@@ -175,8 +174,6 @@ def solve_tractable(T, I):
     if h is None:
         return None
     system = build_sigma(NT, I, h)
-    if system.missing_block is not None:
-        return None
     q = NF.num_coords
     cols = I.var_count * q + system.num_multipliers
     solved = solve_integer(system.matrix, system.rhs, cols)

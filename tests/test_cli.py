@@ -306,6 +306,16 @@ def test_keyword_carrier_order_is_bounded(tmp_path, deadline):
     assert run(["coset-closure", "--template", str(rel)]) == (0, "size 1\ntuple 1\n")
 
 
+def test_keyword_carrier_with_extra_fields_is_unknown(tmp_path, capsys):
+    """A keyword carrier has exactly one field after its kind, so a trailing
+    field is bad input, not the plain keyword."""
+    rel = tmp_path / "extra.mon"
+    for word in ("cyclic:3:junk", "semilattice:chain:4:1"):
+        rel.write_text(f"{word}\nrel 1\ntuple 1\n")
+        assert run(["coset-closure", "--template", str(rel)]) == (2, "")
+        assert f"unknown carrier {word!r}" in capsys.readouterr().err
+
+
 def test_solve_on_a_long_chain_keyword(tmp_path, deadline):
     """Normal-form monotonicity is checked on the covering pairs of the
     chain's order, not on all of its pairs a <= b."""

@@ -1,13 +1,17 @@
+import os
 import random
+from itertools import product
 
 import pytest
 
 from monoidpcsp.core import (
     FiniteMonoid,
+    commute,
     cyclic,
     d_of,
     direct_product,
     enumerate_homs,
+    eval_exponents,
     flipflop1,
     green_leq,
     idempotents,
@@ -24,6 +28,7 @@ from monoidpcsp.errors import (
     TargetNotRegularCommutative,
     ValidationError,
 )
+from monoidpcsp.model import parse_template
 from monoidpcsp.regularize import (
     ab_reg,
     abelianization,
@@ -338,3 +343,54 @@ def test_nf_homs_complete_against_enumeration():
             for h in nf_homs_to_finite(iso.nf, F):
                 via_nf.add(tuple(h(iso.encode(a)) for a in M.elements))
             assert via_nf == direct
+
+
+def reference_nf_homs(NF, F):
+    """The product-and-filter definition of the homs NF -> F, as sorted
+    (phi_images, gen_images) pairs: each semilattice hom phi into commuting
+    idempotents, and each tuple of regular generator images in the subgroups
+    phi(anchor) that commute with each other and with phi's images and
+    satisfy every relation-lattice identity."""
+    idem_F = idempotents(F)
+    regular_of = {}
+    for a in F.elements:
+        e = d_of(F, a)
+        if F.mul(e, a) == a:
+            regular_of.setdefault(e, []).append(a)
+    out = []
+    for phi in enumerate_homs(NF.semilattice, F):
+        phis = phi.images
+        if not (set(phis) <= idem_F and commute(F, phis, phis)):
+            continue
+        for gens in product(*(regular_of[phis[d]] for d in NF.anchors)):
+            if commute(F, gens, gens + phis) and all(
+                    eval_exponents(F, phis[d], gens, row) == phis[d]
+                    for d in NF.semilattice.elements for row in NF.xi[d].basis):
+                out.append((phis, gens))
+    return sorted(out)
+
+
+def test_nf_homs_match_the_product_and_filter_definition():
+    """On sweep normal forms with a non-zero relation lattice, on intro_M,
+    and on Z/2 x chain2 with the chain's bottom no anchor (so g_alpha must
+    be tested against phi's images, not just the other g), nf_homs_to_finite
+    gives the reference list in the same order, into every sweep monoid of
+    size at most 4, non-commutative ones included."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "src", "monoidpcsp", "data", "intro_M.nf")
+    with open(path, encoding="utf-8") as fh:
+        sources = [parse_template(fh.read()).carrier]
+    two = lattice_from_generators(1, [[2]])
+    sources.append(make_normal_form(semilattice_chain(2), 1, [{0}, {0}],
+                                    [two, two], [0]))
+    for M in commutative_regular_sweep(5, unique=True):
+        NF = to_normal_form(M, minimal_generating_set(M)).nf
+        if any(NF.xi[d].basis for d in NF.semilattice.elements):
+            sources.append(NF)
+    targets = monoid_sweep(4, unique=True)
+    assert len(sources) > 5
+    assert any(F.table == flipflop1().table for F in targets)
+    for NF in sources:
+        for F in targets:
+            got = [(h.phi_images, h.gen_images) for h in nf_homs_to_finite(NF, F)]
+            assert got == reference_nf_homs(NF, F)

@@ -27,6 +27,7 @@ from monoidpcsp.model import (
     parse_template,
 )
 from monoidpcsp.solver import (
+    build_sigma,
     finite_template_to_nf,
     minimal_homomorphism,
     projected_semilattice_template,
@@ -222,6 +223,37 @@ def test_shuffled_planted_instance_at_scale(deadline):
     with deadline(5):
         sol = solve_tractable(T, I)
     assert sol is not None and check_assignment(T, I, sol)
+
+
+def test_relation_d_tuples_under_the_least_hom_name_blocks():
+    """Every REL constraint's d-tuple under minimal_homomorphism is a
+    block's d-tuple: h passes check_assignment over the projected template,
+    whose relation is exactly the blocks' d-tuples.  build_sigma reads each
+    block by that d-tuple, with no path for a missing one."""
+    rng = random.Random(5)
+    cases = [(intro_m_template(),
+              [planted_intro_instance(rng, rng.randint(6, 12)) for _ in range(6)])]
+    for M in (semilattice_chain(2), semilattice_chain(3),
+              direct_product(cyclic(2), semilattice_chain(2))):
+        for arity in (1, 2):
+            seeds = [tuple(rng.randrange(M.size) for _ in range(arity))
+                     for _ in range(2)]
+            rel = coset_closure(CartesianPower(M, arity), seeds).members
+            TN, _ = finite_template_to_nf(make_finite_template(M, arity, rel))
+            cases.append((TN, seeded_instances(rng, 20, 4, arity)))
+    checked = {False: 0, True: 0}    # by whether the semilattice is trivial
+    for T, instances in cases:
+        blocks = {b.d_tuple for b in T.relation}
+        for I in instances:
+            h = minimal_homomorphism(projected_semilattice_template(T), I)
+            if h is None:
+                continue
+            for c in I.constraints:
+                if isinstance(c, Relation):
+                    assert tuple(h[v] for v in c.vars) in blocks
+                    checked[T.carrier.semilattice.size == 1] += 1
+            build_sigma(T, I, h)
+    assert checked[False] > 0 and checked[True] > 0
 
 
 def test_free_variables_cost_no_kernel(deadline):
