@@ -5,7 +5,6 @@ from monoidpcsp.core import (
     direct_product,
     flipflop1,
     format_monoid,
-    minimal_generating_set,
     semilattice_chain,
 )
 from monoidpcsp.regularize import (
@@ -29,10 +28,9 @@ print("universal property against", len(targets), "small targets:",
 
 for name, N in [("Z/6", cyclic(6)),
                 ("Z/2 x chain", direct_product(cyclic(2), semilattice_chain(2)))]:
-    gens = minimal_generating_set(N)
-    iso = to_normal_form(N, gens)
+    iso = to_normal_form(N)
     NF = iso.nf
-    print(f"\nnormal form of {name} on generators {sorted(gens)}:")
+    print(f"\nnormal form of {name} on generators {list(iso.generators)}:")
     print("  semilattice size:", NF.semilattice.size,
           " coordinates:", NF.num_coords)
     for d in NF.semilattice.elements:

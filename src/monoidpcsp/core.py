@@ -1,11 +1,12 @@
 """Finite monoids as Cayley tables, Green's preorder, idempotent structure,
-projections, the one backtracking search and homomorphism enumeration.
+projections, the one generator walk, the one backtracking search and
+homomorphism enumeration.
 
 Elements of a monoid of size n are the integers 0..n-1.  All operations are
 pure; monoids and homomorphisms are immutable after construction.
 """
 
-from itertools import combinations, product
+from itertools import product
 
 from .errors import (
     MonoidError,
@@ -90,26 +91,13 @@ def validate_monoid(table, identity):
         if tab[identity][a] != a or tab[a][identity] != a:
             raise NoIdentity(a)
     M = FiniteMonoid(tab, identity)
-    for g in _reaching_generators(M):
+    for g in generator_walk(M)[0]:
         column = [row[g] for row in tab]
         # (a*b)*g against a*(b*g), over all b at once
         for row_a in tab:
             if [column[ab] for ab in row_a] != [row_a[bg] for bg in column]:
                 raise NotAssociative(_first_non_associative_triple(tab))
     return M
-
-
-def _reaching_generators(M):
-    """A generating set chosen greedily: each element that the products of
-    the generators so far do not reach becomes a generator.  M need not be
-    associative; every reached element is still a product of generators."""
-    gens = []
-    reached = frozenset((M.identity,))
-    for a in M.elements:
-        if a not in reached:
-            gens.append(a)
-            reached = closed_under(M, reached | {a}, gens)
-    return gens
 
 
 def _first_non_associative_triple(tab):
@@ -363,31 +351,6 @@ def submonoid(M, members):
     return sub, elems, new_of_old
 
 
-def minimal_generating_set(M):
-    """Smallest generating set, the first of its size in index order.
-
-    An element a other than the identity lies in every generating set
-    exactly when no x, y other than a give x*y = a, so one scan of the table
-    finds these forced elements, and the search by increasing size chooses
-    only among the rest.  The order is unchanged: of two sets of one size, A
-    comes first exactly when the least element of the symmetric difference
-    lies in A, and the forced elements never lie in it."""
-    factored = set()
-    for x in M.elements:
-        for y in M.elements:
-            c = M.mul(x, y)
-            if c != x and c != y:
-                factored.add(c)
-    forced = [a for a in M.elements if a != M.identity and a not in factored]
-    rest = [a for a in M.elements if a == M.identity or a in factored]
-    for k in range(len(rest) + 1):
-        for combo in combinations(rest, k):
-            gens = sorted(forced + list(combo))
-            if len(generated_subset(M, gens)) == M.size:
-                return gens
-    raise MonoidError("unreachable: the whole element set generates")
-
-
 class CartesianPower:
     """Coordinatewise monoid structure on n-tuples over a finite monoid.
 
@@ -470,14 +433,22 @@ def backtrack(domains, accept):
             stack.append(iter(domains[i + 1]))
 
 
-def _prefix_steps(M, gens):
-    """For each prefix gens[:j+1], the elements it newly reaches, as
-    (element, parent, generator index) found by a BFS on the Cayley graph,
-    and the Cayley edges (a, generator index, a*gens[k]) it newly closes."""
+def generator_walk(M):
+    """(gens, steps): a greedy generating set, each generator the least
+    element that the earlier ones do not reach, and the Cayley graph it
+    spans.  steps[j] holds the elements gens[j] newly reaches, as (element,
+    parent, generator index) along a BFS, and the Cayley edges (a, generator
+    index, a*gens[k]) it newly closes.  Each element is multiplied by each
+    generator once.  M need not be associative; every reached element is
+    still a product of generators."""
     reached = {M.identity}
     order = [M.identity]
-    steps = []
-    for j in range(len(gens)):
+    gens, steps = [], []
+    for g in M.elements:
+        if g in reached:
+            continue
+        j = len(gens)
+        gens.append(g)
         new, closed = [], []
         edges = [(a, j) for a in order]
         for a, k in edges:  # grows as the BFS reaches new elements
@@ -490,7 +461,7 @@ def _prefix_steps(M, gens):
                 edges.extend((c, i) for i in range(j + 1))
         order.extend(c for c, _, _ in new)
         steps.append((new, closed))
-    return steps
+    return gens, steps
 
 
 def enumerate_homs(M, N):
@@ -504,7 +475,7 @@ def enumerate_homs(M, N):
     and respecting every Cayley edge respects every product, by induction
     on word length.
     """
-    steps = _prefix_steps(M, minimal_generating_set(M))
+    steps = generator_walk(M)[1]
     table = N.table
     img = [None] * M.size
     img[M.identity] = N.identity

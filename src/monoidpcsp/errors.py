@@ -28,10 +28,6 @@ class NotRegular(MonoidError):
         super().__init__(msg)
 
 
-class NotGenerating(MonoidError):
-    pass
-
-
 class TargetNotRegularCommutative(MonoidError):
     pass
 

@@ -3,18 +3,19 @@
 promise minor conditions to instances.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from .core import (
     CartesianPower,
     backtrack,
     commute,
+    generated_subset,
     is_hom_map,
-    minimal_generating_set,
 )
 from .cosets import setprod, tensor_power
 from .errors import (
     ArityMismatch,
+    MonoidError,
     NonCommutingImages,
     ParseError,
     TooLarge,
@@ -312,6 +313,34 @@ def serialize_minor_condition(cond):
 # The reduction from promise minor conditions to instances
 
 
+def minimal_generating_set(M, fits):
+    """Smallest generating set, the first of its size in index order, or
+    None once fits(k) fails at a size k no larger than the least one.
+
+    An element a other than the identity lies in every generating set
+    exactly when no x, y other than a give x*y = a, so one scan of the table
+    finds these forced elements, and the search by increasing size chooses
+    only among the rest.  The order is unchanged: of two sets of one size, A
+    comes first exactly when the least element of the symmetric difference
+    lies in A, and the forced elements never lie in it."""
+    factored = set()
+    for x in M.elements:
+        for y in M.elements:
+            c = M.mul(x, y)
+            if c != x and c != y:
+                factored.add(c)
+    forced = [a for a in M.elements if a != M.identity and a not in factored]
+    rest = [a for a in M.elements if a == M.identity or a in factored]
+    for k in range(len(rest) + 1):
+        if not fits(len(forced) + k):
+            return None
+        for combo in combinations(rest, k):
+            gens = sorted(forced + list(combo))
+            if len(generated_subset(M, gens)) == M.size:
+                return gens
+    raise MonoidError("unreachable: the whole element set generates")
+
+
 def _unit_insertion_generators(M, N_arity, gens):
     """Generating set of M^N closed under coordinate re-mapping: tuples that
     are a fixed generator on a subset of coordinates and identity elsewhere."""
@@ -365,10 +394,14 @@ def pmc_reduce(cond, relM, relN, N_arity, cap=SEARCH_CAP):
     if (N_arity > cap or (M.size > 1 and N_arity > cap.bit_length())
             or M.size ** N_arity > cap):
         raise TooLarge("carrier power exceeds the cap")
-    P = CartesianPower(M, N_arity)
-    U = _unit_insertion_generators(M, N_arity, minimal_generating_set(M))
-    if B.size ** len(U) > cap:
+    # the variables are numbered by the least generating set: a larger one
+    # grows |U| = 1 + |gens| * (2^N - 1), and with it the B^|U| maps below
+    gens = minimal_generating_set(
+        M, lambda k: B.size ** (1 + k * ((1 << N_arity) - 1)) <= cap)
+    if gens is None:
         raise TooLarge("map enumeration exceeds the cap")
+    P = CartesianPower(M, N_arity)
+    U = _unit_insertion_generators(M, N_arity, gens)
     pos, words, edges = _cayley_walk(P, U)
 
     # replay the walk for every map f: U -> B.  The first edge whose two

@@ -16,6 +16,7 @@ from .core import (
     enumerate_homs,
     eval_exponents,
     generated_subset,
+    generator_walk,
     idempotents,
     is_commutative,
     is_completely_regular,
@@ -28,7 +29,6 @@ from .core import (
 from .errors import (
     MonoidError,
     NotCommutative,
-    NotGenerating,
     NotRegular,
     TargetNotRegularCommutative,
 )
@@ -303,16 +303,14 @@ class NFIsomorphism:
         return eval_exponents(self.monoid, self.idem_of_new[x.d], self.generators, x.v)
 
 
-def to_normal_form(M, generators):
-    """Present a finite commutative regular monoid over the given generating
-    set.  Returns an :class:`NFIsomorphism` (which carries the normal form)."""
+def to_normal_form(M):
+    """Present a finite commutative regular monoid over the generators of
+    :func:`core.generator_walk`; returns an :class:`NFIsomorphism`."""
     if not is_commutative(M):
         raise NotCommutative("normal form needs a commutative monoid")
     if not is_completely_regular(M):
         raise NotRegular("normal form needs a completely regular monoid")
-    gens = sorted(set(generators))
-    if len(generated_subset(M, gens)) != M.size:
-        raise NotGenerating("the given set does not generate the monoid")
+    gens = generator_walk(M)[0]
     q = len(gens)
     idem = idempotents(M)
     N, idem_of_new, new_of_idem = submonoid(M, idem)

@@ -3,7 +3,7 @@ coset: arc-consistency on the idempotent projection, then an integer linear
 system on the coordinate vectors of the normal form.
 """
 
-from .core import CartesianPower, minimal_generating_set
+from .core import CartesianPower
 from .cosets import is_coset
 from .errors import NotACoset, ValidationError
 from .model import (
@@ -198,7 +198,7 @@ def finite_template_to_nf(T):
     relation is a coset into an equivalent normal-form template.  Returns
     (nf_template, iso); a relation that is not a coset raises NotACoset."""
     M = T.carrier
-    iso = to_normal_form(M, minimal_generating_set(M))
+    iso = to_normal_form(M)
     if not is_coset(CartesianPower(M, T.arity), T.relation):
         raise NotACoset("template relation fails the coset equation")
     NF = iso.nf

@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
+from monoidpcsp.core import generator_walk
 from monoidpcsp.model import Product, Relation, make_instance, make_nf_template
+from monoidpcsp.polymorph import minimal_generating_set
 from monoidpcsp.regularize import integers_nf
 from monoidpcsp.zlinalg import solve_integer
 
@@ -14,6 +16,13 @@ def nonconstant_triples(n):
     of the paper's introductory target over Z/n."""
     return [t for t in product(range(n), repeat=3)
             if not (t[0] == t[1] == t[2])]
+
+
+def greedy_set_is_larger(monoids):
+    """The monoids whose generator walk picks more generators than their
+    least generating set has."""
+    return [M for M in monoids if len(generator_walk(M)[0])
+            > len(minimal_generating_set(M, lambda k: True))]
 
 
 def intro_nf_template():

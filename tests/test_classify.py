@@ -17,9 +17,9 @@ from monoidpcsp.core import (
     FiniteMonoid,
     closed_under,
     cyclic,
+    direct_product,
     eval_exponents,
     inverse,
-    minimal_generating_set,
     semilattice_chain,
 )
 from monoidpcsp.cosets import coset_closure
@@ -75,6 +75,18 @@ def test_trivial_pair_is_tractable():
     assert sandwich_check(c, T, T)
 
 
+def test_a_template_needing_eleven_generators_classifies_at_once(deadline):
+    """C2 x chain:11 has 22 elements and needs 11 generators; a search for
+    the least generating set by increasing size would run for seconds."""
+    T = make_finite_template(direct_product(cyclic(2), semilattice_chain(11)),
+                             1, [(0,), (1,)])
+    Z2 = make_finite_template(cyclic(2), 1, [(0,), (1,)])
+    with deadline(1):
+        c = classify(T, Z2)
+        assert c.verdict == "Tractable"
+        assert sandwich_check(c, T, Z2)
+
+
 def test_nonconstant_triples_self_pair_is_np_hard():
     T = intro_target(3)
     assert classify(T, T).verdict == "NPHard"
@@ -110,7 +122,7 @@ def test_nf_hom_image_matches_pointwise_evaluation():
 def test_nf_hom_image_is_the_image_of_every_element():
     # a finite S in normal form: the image is h applied to S's elements
     for S in commutative_regular_sweep(3, unique=True):
-        iso = to_normal_form(S, minimal_generating_set(S))
+        iso = to_normal_form(S)
         for F in monoid_sweep(3, unique=True):
             for h in nf_homs_to_finite(iso.nf, F):
                 assert nf_hom_image(h) == {h(iso.encode(a)) for a in S.elements}

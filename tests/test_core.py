@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 
 import pytest
@@ -13,6 +13,7 @@ from monoidpcsp.core import (
     enumerate_homs,
     flipflop1,
     generated_subset,
+    generator_walk,
     green_classes,
     green_leq,
     idempotent_constant,
@@ -23,7 +24,6 @@ from monoidpcsp.core import (
     is_hom_map,
     is_semilattice,
     make_hom,
-    minimal_generating_set,
     monoid_from_keyword,
     null_extension,
     pi_I,
@@ -33,7 +33,6 @@ from monoidpcsp.core import (
     submonoid,
     validate_monoid,
     FiniteMonoid,
-    _reaching_generators,
 )
 from monoidpcsp.errors import (
     MonoidError,
@@ -42,6 +41,7 @@ from monoidpcsp.errors import (
     NotRegular,
 )
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
+from conftest import greedy_set_is_larger
 
 
 def test_validate_accepts_cyclic():
@@ -111,7 +111,7 @@ def test_associativity_check_agrees_with_the_cubic_scan():
 def test_associativity_check_on_chains_where_every_element_generates():
     for k in (3, 17, 64):
         M = monoid_from_keyword(f"semilattice:chain:{k}")
-        assert _reaching_generators(M) == list(range(1, k))
+        assert generator_walk(M)[0] == list(range(1, k))
         assert validate_monoid(M.table, M.identity) == M
         table = [list(row) for row in M.table]
         table[k - 1][1] = 0   # then ((k-1)*1)*1 = 1 but (k-1)*(1*1) = 0
@@ -250,34 +250,6 @@ def test_generated_submonoid():
     assert generated_subset(M, {1}) == frozenset(M.elements)
 
 
-def test_minimal_generating_set_generates():
-    for M in (cyclic(6), semilattice_chain(3), flipflop1(),
-              direct_product(cyclic(2), cyclic(3))):
-        gens = minimal_generating_set(M)
-        assert generated_subset(M, gens) == frozenset(M.elements)
-
-
-def test_minimal_generating_set_is_the_first_smallest():
-    """The search from the forced elements returns the set that the plain
-    search by increasing size in index order returns, on the whole sweep."""
-    def by_size(M):
-        for k in range(M.size + 1):
-            for combo in combinations(M.elements, k):
-                if len(generated_subset(M, combo)) == M.size:
-                    return list(combo)
-
-    for M in monoid_sweep(6) + [direct_product(cyclic(2), semilattice_chain(3)),
-                                semilattice_chain(8)]:
-        assert minimal_generating_set(M) == by_size(M), M.table
-
-
-def test_minimal_generating_set_of_a_chain_is_one_scan(deadline):
-    """Every element of a chain but its identity is forced, so no subset is
-    searched; a search among all 2^24 subsets would run for minutes."""
-    with deadline(2):
-        assert minimal_generating_set(semilattice_chain(24)) == list(range(1, 24))
-
-
 def test_make_hom_refuses_a_map_that_is_not_a_hom():
     with pytest.raises(MonoidError):
         make_hom(cyclic(2), cyclic(3), (0, 1))
@@ -332,15 +304,20 @@ def test_enumerate_homs_matches_brute_force():
                       if is_hom_map(M, N, images))
 
     trivial = FiniteMonoid(((0,),), 0)
-    assert minimal_generating_set(trivial) == []
+    assert generator_walk(trivial)[0] == []
     c2xc2 = direct_product(cyclic(2), cyclic(2))
-    assert len(minimal_generating_set(c2xc2)) == 2
+    assert len(generator_walk(c2xc2)[0]) == 2
     sweep = monoid_sweep(3, unique=True)
     pairs = [(M, N) for M in sweep for N in sweep]
     pairs += [(M, N) for M in (trivial, flipflop1(), null_extension())
               for N in sweep + [c2xc2, cyclic(4), semilattice_chain(3)]]
     pairs += [(M, c2xc2) for M in sweep + [c2xc2]]
     pairs.append((c2xc2, direct_product(cyclic(2), semilattice_chain(2))))
+    # the generator walk's greedy set is larger than the least one here
+    greedy_larger = greedy_set_is_larger(monoid_sweep(4, unique=True))
+    assert len(greedy_larger) == 22
+    pairs += [(M, N) for M in greedy_larger + [direct_product(cyclic(2), cyclic(3))]
+              for N in sweep + [c2xc2]]
     for M, N in pairs:
         assert [h.images for h in enumerate_homs(M, N)] == brute(M, N), \
             (M.table, N.table)

@@ -1,6 +1,6 @@
 import os
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -8,8 +8,13 @@ from monoidpcsp.classify import classify
 from monoidpcsp.core import (
     CartesianPower,
     cyclic,
+    direct_product,
     enumerate_homs,
+    flipflop1,
+    generated_subset,
+    generator_walk,
     make_hom,
+    semilattice_chain,
 )
 from monoidpcsp.errors import (
     NonCommutingImages,
@@ -20,6 +25,7 @@ from monoidpcsp.model import (
     make_finite_template,
     oracle_solve,
     parse_template,
+    serialize_instance,
 )
 from monoidpcsp.polymorph import (
     HomPolymorphism,
@@ -30,12 +36,14 @@ from monoidpcsp.polymorph import (
     is_trivial,
     make_hom_polymorphism,
     make_minor_condition,
+    minimal_generating_set,
     minor,
     parse_minor_condition,
     pmc_reduce,
     serialize_minor_condition,
 )
 from monoidpcsp.regularize import homs_into
+from monoidpcsp.sweep import monoid_sweep
 from conftest import intro_nf_template, nonconstant_triples
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -286,3 +294,75 @@ def test_pmc_reduce_refuses_a_huge_arity_before_the_power(deadline):
     cond = make_minor_condition([("f", 2)], [("g", 3)], [("f", "g", (0, 1))])
     with deadline(1), pytest.raises(TooLarge):
         pmc_reduce(cond, T, T, 10**7)
+
+
+def test_minimal_generating_set_generates():
+    for M in (cyclic(6), semilattice_chain(3), flipflop1(),
+              direct_product(cyclic(2), cyclic(3))):
+        gens = minimal_generating_set(M, lambda k: True)
+        assert generated_subset(M, gens) == frozenset(M.elements)
+
+
+def test_minimal_generating_set_is_the_first_smallest():
+    """The search from the forced elements returns the set that the plain
+    search by increasing size in index order returns, on the whole sweep."""
+    def by_size(M):
+        for k in range(M.size + 1):
+            for combo in combinations(M.elements, k):
+                if len(generated_subset(M, combo)) == M.size:
+                    return list(combo)
+
+    for M in monoid_sweep(6) + [direct_product(cyclic(2), semilattice_chain(3)),
+                                semilattice_chain(8)]:
+        assert minimal_generating_set(M, lambda k: True) == by_size(M), M.table
+
+
+def test_minimal_generating_set_of_a_chain_is_one_scan(deadline):
+    """Every element of a chain but its identity is forced, so no subset is
+    searched; a search among all 2^24 subsets would run for minutes."""
+    with deadline(2):
+        assert minimal_generating_set(semilattice_chain(24), lambda k: True) == list(range(1, 24))
+
+
+def test_minimal_generating_set_stops_at_the_first_size_that_does_not_fit():
+    M = direct_product(cyclic(2), cyclic(3))
+    assert minimal_generating_set(M, lambda k: k < 1) is None
+    assert minimal_generating_set(M, lambda k: k <= 1) == [4]
+    sizes = []
+    assert minimal_generating_set(semilattice_chain(24),
+                                  lambda k: sizes.append(k) or k < 23) is None
+    assert sizes == [23]
+
+
+TRIVIAL_MC = "sym f 2 U\nsym g 1 V\nedge f g 0 0\n"
+SWAP_MC = "sym f 2 U\nsym g 2 V\nedge f g 1 0\n"
+
+
+def test_pmc_reduce_numbers_its_variables_by_the_least_generating_set():
+    """Z/2 x Z/3 is Z/6 with k sent to 4^k.  Its least generating set {4}
+    is the image of Z/6's {1}, so the two reductions are one instance; the
+    generator walk's set {1, 3} would add variables."""
+    C6, P = cyclic(6), direct_product(cyclic(2), cyclic(3))
+    carry = [P.power(4, k) for k in C6.elements]
+    assert generator_walk(P)[0] == [1, 3]
+    for rel in ([(1,)], [(k, (k + 1) % 6) for k in C6.elements]):
+        T6 = make_finite_template(C6, len(rel[0]), rel)
+        TP = make_finite_template(P, len(rel[0]),
+                                  [tuple(carry[k] for k in t) for t in rel])
+        for text in (TRIVIAL_MC, SWAP_MC):
+            cond = parse_minor_condition(text)
+            assert serialize_instance(pmc_reduce(cond, TP, TP, 2)) == \
+                serialize_instance(pmc_reduce(cond, T6, T6, 2))
+
+
+def test_pmc_reduce_refuses_a_large_generating_set_before_searching(deadline):
+    """C2 x chain:11 has 22 elements and needs 11 generators, so the maps
+    U -> B exceed the cap long before the least-set search reaches that
+    size; the search stops at the first size over the cap."""
+    M = direct_product(cyclic(2), semilattice_chain(11))
+    T = make_finite_template(M, 1, [(0,), (1,)])
+    Z2 = make_finite_template(cyclic(2), 1, [(0,), (1,)])
+    cond = parse_minor_condition(TRIVIAL_MC)
+    for rhs in (T, Z2):
+        with deadline(1), pytest.raises(TooLarge, match="map enumeration"):
+            pmc_reduce(cond, T, rhs, 2)

@@ -19,7 +19,6 @@ from monoidpcsp.core import (
     is_completely_regular,
     is_hom_map,
     is_semilattice,
-    minimal_generating_set,
     null_extension,
     semilattice_chain,
 )
@@ -189,7 +188,7 @@ def all_pairs_verdict(N, q, lam, xi, anchors):
 
 
 def test_covering_pairs_are_the_pairs_with_nothing_between():
-    semilattices = [to_normal_form(M, minimal_generating_set(M)).nf.semilattice
+    semilattices = [to_normal_form(M).nf.semilattice
                     for M in commutative_regular_sweep(4)]
     semilattices += [semilattice_chain(5),
                      direct_product(semilattice_chain(2), semilattice_chain(3))]
@@ -208,7 +207,7 @@ def test_monotonicity_on_covers_agrees_with_all_pairs():
     rng = random.Random(37)
     verdicts = set()
     for M in commutative_regular_sweep(4):
-        NF = to_normal_form(M, minimal_generating_set(M)).nf
+        NF = to_normal_form(M).nf
         N, q = NF.semilattice, NF.num_coords
         for trial in range(12):
             lam, xi = list(NF.lam), list(NF.xi)
@@ -251,7 +250,7 @@ def test_integers_nf_arithmetic():
 
 def test_to_normal_form_cyclic3():
     M = cyclic(3)
-    iso = to_normal_form(M, [1])
+    iso = to_normal_form(M)
     NF = iso.nf
     assert NF.semilattice.size == 1
     assert NF.num_coords == 1
@@ -264,7 +263,7 @@ def test_to_normal_form_round_trip():
     for M in (cyclic(3), cyclic(6), semilattice_chain(3),
               direct_product(cyclic(2), semilattice_chain(2)),
               direct_product(cyclic(2), cyclic(3))):
-        iso = to_normal_form(M, minimal_generating_set(M))
+        iso = to_normal_form(M)
         for a in M.elements:
             assert iso.decode(iso.encode(a)) == a
         for a in M.elements:
@@ -284,7 +283,7 @@ def test_lambda_from_the_idempotent_order_agrees_with_green_leq():
             for g in M.elements:
                 assert (M.mul(e, d_of(M, g)) == e) == green_leq(M, e, g)
                 pairs += 1
-        iso = to_normal_form(M, minimal_generating_set(M))
+        iso = to_normal_form(M)
         for d, od in enumerate(iso.idem_of_new):
             assert iso.nf.lam[d] == {alpha for alpha, g in enumerate(iso.generators)
                                      if green_leq(M, od, g)}
@@ -293,14 +292,14 @@ def test_lambda_from_the_idempotent_order_agrees_with_green_leq():
 
 def test_to_normal_form_trivial():
     M = FiniteMonoid(((0,),), 0)
-    iso = to_normal_form(M, [])
+    iso = to_normal_form(M)
     assert iso.nf.num_coords == 0
     assert iso.nf.semilattice.size == 1
 
 
 def test_nf_semilattice_element():
     M = semilattice_chain(2)
-    iso = to_normal_form(M, [1])
+    iso = to_normal_form(M)
     NF = iso.nf
     d = iso.encode(1).d
     e = nf_element(NF, d, [0] * NF.num_coords)
@@ -315,16 +314,14 @@ def test_nf_homs_integers_to_cyclic():
 
 
 def test_nf_homs_cyclic3_to_cyclic2_is_constant():
-    iso = to_normal_form(cyclic(3), [1])
+    iso = to_normal_form(cyclic(3))
     homs = nf_homs_to_finite(iso.nf, cyclic(2))
     assert len(homs) == 1
     assert homs[0].gen_images == (0,)
 
 
 def test_nf_homs_to_trivial():
-    iso = to_normal_form(direct_product(cyclic(2), semilattice_chain(2)),
-                         minimal_generating_set(
-                             direct_product(cyclic(2), semilattice_chain(2))))
+    iso = to_normal_form(direct_product(cyclic(2), semilattice_chain(2)))
     homs = nf_homs_to_finite(iso.nf, FiniteMonoid(((0,),), 0))
     assert len(homs) == 1
 
@@ -336,7 +333,7 @@ def test_nf_homs_complete_against_enumeration():
     targets = [cyclic(2), cyclic(6), semilattice_chain(2), flipflop1(),
                null_extension()]
     for M in sources:
-        iso = to_normal_form(M, minimal_generating_set(M))
+        iso = to_normal_form(M)
         for F in targets:
             direct = {tuple(h.images) for h in enumerate_homs(M, F)}
             via_nf = set()
@@ -384,7 +381,7 @@ def test_nf_homs_match_the_product_and_filter_definition():
     sources.append(make_normal_form(semilattice_chain(2), 1, [{0}, {0}],
                                     [two, two], [0]))
     for M in commutative_regular_sweep(5, unique=True):
-        NF = to_normal_form(M, minimal_generating_set(M)).nf
+        NF = to_normal_form(M).nf
         if any(NF.xi[d].basis for d in NF.semilattice.elements):
             sources.append(NF)
     targets = monoid_sweep(4, unique=True)

@@ -8,7 +8,6 @@ from monoidpcsp.core import (
     CartesianPower,
     cyclic,
     direct_product,
-    minimal_generating_set,
     semilattice_chain,
 )
 from monoidpcsp.cli import assignment_rows
@@ -33,7 +32,8 @@ from monoidpcsp.solver import (
     projected_semilattice_template,
     solve_tractable,
 )
-from conftest import intro_instance, intro_nf_template
+from monoidpcsp.sweep import commutative_regular_sweep
+from conftest import greedy_set_is_larger, intro_instance, intro_nf_template
 
 
 def test_minimal_homomorphism_is_pointwise_least():
@@ -121,7 +121,7 @@ def test_projected_template_rejects_non_coset():
                    if a != N.identity
                    and not all(N.mul(a, b) == a for b in N.elements))
     from monoidpcsp.regularize import to_normal_form
-    iso = to_normal_form(N, minimal_generating_set(N))
+    iso = to_normal_form(N)
     NF = iso.nf
     q = NF.num_coords
     blocks = [((iso.encode(a).d,), list(iso.encode(a).v), []) for a in atoms]
@@ -153,6 +153,12 @@ def test_solver_agrees_with_oracle_on_coset_templates():
     rng = random.Random(17)
     monoids = [cyclic(4), semilattice_chain(2),
                direct_product(cyclic(2), semilattice_chain(2)), cyclic(6)]
+    # templates over which the generator walk's greedy set is larger than
+    # the least one
+    greedy_larger = greedy_set_is_larger(commutative_regular_sweep(4, unique=True))
+    assert len(greedy_larger) == 7
+    monoids += greedy_larger
+    monoids.append(direct_product(cyclic(2), cyclic(3)))
     for M in monoids:
         for arity in (1, 2):
             P = CartesianPower(M, arity)
@@ -174,6 +180,19 @@ def test_solver_agrees_with_oracle_on_coset_templates():
                     decoded = [iso.decode(x) for x in fast]
                     assert check_assignment(T, I, decoded)
                     assert finite == decoded
+
+
+def test_a_template_needing_eleven_generators_solves_at_once(deadline):
+    """C2 x chain:11 has 22 elements and needs 11 generators; a search for
+    the least generating set by increasing size would run for seconds."""
+    T = make_finite_template(direct_product(cyclic(2), semilattice_chain(11)),
+                             1, [(0,), (1,)])
+    I = make_instance(4, [Relation((0,)), Relation((1,)),
+                          Product(0, 1, 2), Product(2, 2, 3)])
+    with deadline(1):
+        assignment = solve_tractable(T, I)
+        assert assignment is not None
+        assert check_assignment(T, I, assignment)
 
 
 def planted_intro_instance(rng, n):
