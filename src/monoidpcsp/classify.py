@@ -52,12 +52,9 @@ def relation_preserving_homs(relM, relN):
     """Homomorphisms between carriers that map relM's relation into relN's,
     in deterministic order, paired with their relation images."""
     check_pair(relM, relN)
-    out = []
-    for h in homs_into(relM.carrier, relN.carrier):
-        image = h.relation_image(relM)
-        if image <= relN.relation:
-            out.append((h, image))
-    return out
+    homs = homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation)
+    pairs = ((h, h.relation_image(relM)) for h in homs)
+    return [(h, image) for h, image in pairs if image <= relN.relation]
 
 
 def classify(relM, relN):
@@ -94,9 +91,7 @@ def classify_via_abreg(relM, relN):
     Q = quot.quotient
     projected = frozenset(tuple(quot.class_of[a] for a in t) for t in relM.relation)
     closed = coset_closure(CartesianPower(Q, relM.arity), projected).members
-    for g in enumerate_homs(Q, relN.carrier):
-        if not all(tuple(g(c) for c in t) in relN.relation for t in closed):
-            continue
+    for g in enumerate_homs(Q, relN.carrier, closed, relN.relation):
         composed = g.compose(quot.projection)
         got = _try_witness(relN, composed.image_set(), composed.relation_image(relM))
         if got is None:

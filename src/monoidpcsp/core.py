@@ -464,21 +464,40 @@ def generator_walk(M):
     return gens, steps
 
 
-def enumerate_homs(M, N):
-    """All monoid homomorphisms M -> N, ordered lexicographically by their
-    full image tuples.
+def enumerate_homs(M, N, tuples=(), allowed=frozenset()):
+    """All monoid homomorphisms M -> N that map every tuple of ``tuples``
+    into ``allowed`` (every hom when there are no tuples), ordered
+    lexicographically by their full image tuples.
 
     Generator images are chosen one at a time by :func:`backtrack`.  The
     elements a generator prefix newly reaches take their images along BFS
     tree edges, and a branch is cut as soon as a Cayley edge it closes fails
     img[a*g] == img[a]*img[g].  A map sending the identity to the identity
     and respecting every Cayley edge respects every product, by induction
-    on word length.
+    on word length.  A branch is cut only when the coordinates of a tuple
+    reached so far lie outside the projection of ``allowed`` onto their
+    positions, so no completion of it could map the tuple into ``allowed``.
     """
     steps = generator_walk(M)[1]
+    step_of = {M.identity: -1}
+    for j, (new, _) in enumerate(steps):
+        step_of.update((c, j) for c, _, _ in new)
+    projections = {}
+    checks = [[] for _ in range(len(steps) + 1)]   # checks[j + 1]: at step j
+    for t in set(tuples):
+        for j in {step_of[a] for a in t}:
+            positions = tuple(i for i, a in enumerate(t) if step_of[a] <= j)
+            if positions not in projections:
+                projections[positions] = frozenset(
+                    tuple(s[i] for i in positions) for s in allowed)
+            checks[j + 1].append(([t[i] for i in positions], projections[positions]))
     table = N.table
     img = [None] * M.size
     img[M.identity] = N.identity
+
+    def maps_into(j):
+        return all(tuple(img[a] for a in coords) in allowed_part
+                   for coords, allowed_part in checks[j + 1])
 
     def accept(j, gen_imgs):
         new, closed = steps[j]
@@ -487,8 +506,10 @@ def enumerate_homs(M, N):
         for a, k, c in closed:
             if img[c] != table[img[a]][gen_imgs[k]]:
                 return False
-        return True
+        return maps_into(j)
 
+    if not maps_into(-1):
+        return []
     found = [tuple(img) for _ in backtrack([N.elements] * len(steps), accept)]
     return [MonoidHom(M, N, images) for images in sorted(found)]
 

@@ -439,12 +439,13 @@ def nf_relation_image(h, T):
     return frozenset(out)
 
 
-def homs_into(M, F):
+def homs_into(M, F, tuples=(), allowed=frozenset()):
     """Every homomorphism from a carrier (finite or normal form) into the
-    finite monoid F, in deterministic order."""
+    finite monoid F, in deterministic order.  For a finite M, only the homs
+    that map each of ``tuples`` into ``allowed``; an NF M lists them all."""
     if isinstance(M, NormalFormMonoid):
         return nf_homs_to_finite(M, F)
-    return enumerate_homs(M, F)
+    return enumerate_homs(M, F, tuples, allowed)
 
 
 def nf_homs_to_finite(NF, F):

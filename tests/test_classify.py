@@ -30,6 +30,7 @@ from monoidpcsp.model import (
     parse_template,
 )
 from monoidpcsp.regularize import (
+    homs_into,
     nf_element,
     nf_homs_to_finite,
     to_normal_form,
@@ -207,6 +208,34 @@ def test_direct_and_regularized_paths_agree_on_small_pairs():
             assert c1 == c2, (TA, TB)
             checked += 1
     assert checked > 100
+
+
+def test_relation_preserving_homs_matches_the_filter_over_every_hom():
+    rng = random.Random(5)
+    sweep = monoid_sweep(3, unique=True)
+    products = [direct_product(cyclic(2), cyclic(2)),
+                direct_product(cyclic(2), semilattice_chain(2)),
+                direct_product(cyclic(3), cyclic(2))]
+    pool = sweep + products
+    cut = 0
+    for _ in range(300):
+        M, N = rng.choice(pool), rng.choice(pool)
+        arity = rng.randint(1, 3)
+        rel_M = {tuple(rng.randrange(M.size) for _ in range(arity))
+                 for _ in range(rng.randint(1, 4))}
+        rel_N = {tuple(rng.randrange(N.size) for _ in range(arity))
+                 for _ in range(rng.randint(0, 4))}
+        homs = homs_into(M, N)
+        if rng.random() < 0.7:   # relN holds the image of relM under some hom
+            h = rng.choice(homs)
+            rel_N |= {tuple(h(a) for a in t) for t in rel_M}
+        relM = make_finite_template(M, arity, rel_M)
+        relN = make_finite_template(N, arity, rel_N)
+        expected = [(h, h.relation_image(relM)) for h in homs
+                    if h.relation_image(relM) <= relN.relation]
+        assert relation_preserving_homs(relM, relN) == expected, (relM, relN)
+        cut += 0 < len(expected) < len(homs)
+    assert cut > 50
 
 
 def test_sandwich_check_rejects_corrupted_witness():

@@ -299,9 +299,16 @@ def test_enumerate_homs_are_homs_and_deterministic():
 
 
 def test_enumerate_homs_matches_brute_force():
-    def brute(M, N):
+    def brute(M, N, tuples=(), allowed=frozenset()):
         return sorted(images for images in product(N.elements, repeat=M.size)
-                      if is_hom_map(M, N, images))
+                      if is_hom_map(M, N, images)
+                      and all(tuple(images[a] for a in t) in allowed for t in tuples))
+
+    def check(M, N, tuples=(), allowed=frozenset()):
+        got = enumerate_homs(M, N, tuples, frozenset(allowed))
+        assert [h.images for h in got] == brute(M, N, tuples, allowed), \
+            (M.table, N.table, tuples, allowed)
+        return got
 
     trivial = FiniteMonoid(((0,),), 0)
     assert generator_walk(trivial)[0] == []
@@ -318,9 +325,31 @@ def test_enumerate_homs_matches_brute_force():
     assert len(greedy_larger) == 22
     pairs += [(M, N) for M in greedy_larger + [direct_product(cyclic(2), cyclic(3))]
               for N in sweep + [c2xc2]]
+    rng = random.Random(22)
     for M, N in pairs:
-        assert [h.images for h in enumerate_homs(M, N)] == brute(M, N), \
-            (M.table, N.table)
+        check(M, N)
+        arity = rng.randint(1, 3)
+        tuples = [tuple(rng.randrange(M.size) for _ in range(arity))
+                  for _ in range(rng.randint(1, 3))]
+        allowed = {tuple(rng.randrange(N.size) for _ in range(arity))
+                   for _ in range(rng.randint(1, N.size ** arity))}
+        check(M, N, tuples, allowed)
+
+    # the identity tuple of a trivial carrier is tested before the search
+    assert check(trivial, cyclic(2), [(0,)], {(1,)}) == []
+    assert len(check(trivial, cyclic(2), [(0, 0)], {(0, 0)})) == 1
+    # an empty allowed set admits no hom once there is a tuple
+    assert check(cyclic(4), cyclic(2), [(1,)], set()) == []
+    assert len(check(cyclic(4), cyclic(2), [], set())) == 2
+    # a repeated coordinate must take one value in both positions
+    assert len(check(cyclic(3), cyclic(3), [(1, 1, 2)], {(1, 1, 2), (2, 1, 1)})) == 1
+    # the coordinates of (g0, g1) are reached at different generator steps,
+    # so the projection onto position 0 cuts branches after step 0
+    (g0, g1), steps = generator_walk(c2xc2)
+    step_of = {c: j for j, (new, _) in enumerate(steps) for c, _, _ in new}
+    assert (step_of[g0], step_of[g1]) == (0, 1)
+    for allowed in ({(1, 2)}, {(1, 2), (3, 0)}, {(0, 0), (3, 3)}):
+        assert check(c2xc2, c2xc2, [(g0, g1)], allowed)
 
 
 def test_hom_compose():
