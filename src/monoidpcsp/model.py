@@ -302,7 +302,8 @@ class _Cursor:
 
     def take(self, expect=None):
         if self.pos >= len(self.lines):
-            raise ParseError(0, f"unexpected end of input (wanted {expect})")
+            raise ParseError(0, "unexpected end of input"
+                             + (f" (wanted {expect})" if expect else ""))
         no, toks = self.lines[self.pos]
         self.pos += 1
         if expect is not None and toks[0] != expect:
@@ -363,7 +364,7 @@ def _parse_nf(cur):
     no, toks = cur.take("coords")
     (q,) = parse_ints(no, toks[1:], 1)
     _count(no, q, "coordinate count")
-    lam = [frozenset() for _ in range(size)]
+    lam = {}
     xi_gens = [[] for _ in range(size)]
     anchors = {}  # filled line by line, so q never sizes an allocation
     while not cur.done() and cur.peek()[1][0] in ("lambda", "xi", "anchor"):
@@ -371,6 +372,8 @@ def _parse_nf(cur):
         if toks[0] == "lambda":
             (d,) = parse_ints(no, toks[1:2], 1)
             _in_range(no, d, size, "semilattice index")
+            if d in lam:
+                raise ParseError(no, f"second lambda line for semilattice index {d}")
             lam[d] = frozenset(parse_ints(no, toks[2:]))
             for j in sorted(lam[d]):
                 _in_range(no, j, q, "coordinate")
@@ -383,12 +386,15 @@ def _parse_nf(cur):
             alpha, d = parse_ints(no, toks[1:], 2)
             _in_range(no, alpha, q, "coordinate")
             _in_range(no, d, size, "semilattice index")
+            if alpha in anchors:
+                raise ParseError(no, f"second anchor line for coordinate {alpha}")
             anchors[alpha] = d
     if len(anchors) != q:
         raise ValidationError("every coordinate needs an anchor line")
     xi = [lattice_from_generators(q, g) for g in xi_gens]
     try:
-        return make_normal_form(N, q, lam, xi, [anchors[a] for a in range(q)])
+        return make_normal_form(N, q, [lam.get(d, frozenset()) for d in range(size)],
+                                xi, [anchors[a] for a in range(q)])
     except Exception as e:
         raise ValidationError(str(e)) from e
 

@@ -3,7 +3,7 @@ semilattice-with-integer-coordinates normal form for finitely generated
 commutative regular monoids.
 """
 
-from itertools import product
+from operator import add, sub
 
 from .core import (
     CartesianPower,
@@ -23,7 +23,6 @@ from .core import (
     is_hom_map,
     is_semilattice,
     make_hom,
-    power_walk,
     submonoid,
 )
 from .errors import (
@@ -304,56 +303,46 @@ class NFIsomorphism:
 
 
 def to_normal_form(M):
-    """Present a finite commutative regular monoid over the generators of
-    :func:`core.generator_walk`; returns an :class:`NFIsomorphism`."""
+    """Present a finite commutative completely regular monoid over the
+    generators of :func:`core.generator_walk`, read off the walk in one
+    pass; returns an :class:`NFIsomorphism`.
+
+    A tree edge (c, a, k) gives vec(c) = vec(a) + e_k and idem(c) =
+    idem(a)*d(g_k), as d(ab) = d(a)*d(b).  The k-edges leave the group G_d
+    of d unless d*d(g_k) = d, and then permute G_d; at most |G_d| - 1 of
+    them are tree edges, so a closed one (a, k, c) puts k in lam(d) and
+    the relator vec(a) + e_k - vec(c) in xi(d).  These relators span the
+    kernel K of Z^lam(d) -> G_d, v -> d*prod g^v (Schreier's lemma, abelian
+    form): each lies in K, and modulo their span every k-edge inside G_d
+    gives vec(a) + e_k = vec(a*g_k), so vec(a) - e_k = vec(a*g_k^-1), and
+    by induction vec(d) + v = vec(d*prod g^v), which is vec(d) for v in K.
+    The Hermite basis of K is the same for every spanning set."""
     if not is_commutative(M):
         raise NotCommutative("normal form needs a commutative monoid")
     if not is_completely_regular(M):
         raise NotRegular("normal form needs a completely regular monoid")
-    gens = generator_walk(M)[0]
+    gens, steps = generator_walk(M)
     q = len(gens)
-    idem = idempotents(M)
-    N, idem_of_new, new_of_idem = submonoid(M, idem)
-    lam = []
-    for d_new in N.elements:
-        od = idem_of_new[d_new]
-        # od lies in gM iff od*e_g = od, as M is commutative and completely
-        # regular: od = g*c gives od*e_g = od, and od*e_g = od gives
-        # od = g*(g^-1*od)
-        lam.append(frozenset(alpha for alpha, g in enumerate(gens)
-                             if M.mul(od, d_of(M, g)) == od))
-    # per-idempotent evaluation boxes: exponent vectors modulo element orders
-    xi = []
-    encode_of = {}
-    for d_new in N.elements:
-        od = idem_of_new[d_new]
-        supp = sorted(lam[d_new])
-        gs = [M.mul(od, gens[alpha]) for alpha in supp]
-        # g lies in od's group, so its first idempotent power is od = g^order
-        orders = [len(power_walk(M, g)) for g in gs]
-        kernel_gens = []
-        for i, m in enumerate(orders):
-            vec = [0] * q
-            vec[supp[i]] = m
-            kernel_gens.append(vec)
-        for expo in product(*(range(m) for m in orders)):
-            val = eval_exponents(M, od, gs, expo)
-            vec = [0] * q
-            for i, n in enumerate(expo):
-                vec[supp[i]] = n
-            if val == od and any(expo):
-                kernel_gens.append(vec)
-            encode_of.setdefault(val, (d_new, vec))
-        xi.append(lattice_from_generators(q, kernel_gens))
-    anchors = []
-    for alpha, g in enumerate(gens):
-        anchors.append(new_of_idem[d_of(M, g)])
+    N, idem_of_new, new_of_idem = submonoid(M, idempotents(M))
+    anchors = [new_of_idem[d_of(M, g)] for g in gens]
+    unit = [(0,) * k + (1,) + (0,) * (q - 1 - k) for k in range(q)]
+    vec = {M.identity: [0] * q}
+    idem = {M.identity: N.identity}    # the semilattice index of d(a)
+    lam, relators = ([set() for _ in N.elements] for _ in range(2))
+    for new, closed in steps:
+        for c, a, k in new:
+            idem[c] = N.table[idem[a]][anchors[k]]
+            vec[c] = list(map(add, vec[a], unit[k]))
+        for a, k, c in closed:
+            d = idem[a]
+            if idem[c] == d:
+                lam[d].add(k)
+                relators[d].add(unit[k] if a == c else
+                                tuple(map(sub, map(add, vec[a], unit[k]), vec[c])))
+    xi = [lattice_from_generators(q, rs) for rs in relators]
     NF = make_normal_form(N, q, lam, xi, anchors)
-    encode_table = []
-    for a in M.elements:
-        d_new, vec = encode_of[a]
-        encode_table.append(nf_element(NF, d_new, vec))
-    return NFIsomorphism(M, NF, tuple(gens), tuple(idem_of_new), tuple(encode_table))
+    encode_table = tuple(nf_element(NF, idem[a], vec[a]) for a in M.elements)
+    return NFIsomorphism(M, NF, tuple(gens), tuple(idem_of_new), encode_table)
 
 
 # ---------------------------------------------------------------------------

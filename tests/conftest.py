@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from monoidpcsp.core import generator_walk
+from monoidpcsp.core import FiniteMonoid, generator_walk
 from monoidpcsp.model import Product, Relation, make_instance, make_nf_template
 from monoidpcsp.polymorph import minimal_generating_set
 from monoidpcsp.regularize import integers_nf
@@ -23,6 +23,24 @@ def greedy_set_is_larger(monoids):
     least generating set has."""
     return [M for M in monoids if len(generator_walk(M)[0])
             > len(minimal_generating_set(M, lambda k: True))]
+
+
+def clifford(t):
+    """C_t: the identity e, then (0, i) and (1, i) for each i < t, then
+    (0, bottom) and (1, bottom), with (x, i)(y, j) = (x + y mod 2, i if
+    i = j else bottom).  Its generator walk picks (0, i) and (1, i) for
+    each i < t, and the t generators of order 2 all meet in the two-element
+    bottom group."""
+    elements = [None] + [(x, i) for i in range(t + 1) for x in (0, 1)]  # i = t: bottom
+
+    def mul(a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        return ((a[0] + b[0]) % 2, a[1] if a[1] == b[1] else t)
+
+    index = {a: n for n, a in enumerate(elements)}
+    return FiniteMonoid(tuple(tuple(index[mul(a, b)] for b in elements)
+                              for a in elements), 0)
 
 
 def intro_nf_template():

@@ -123,7 +123,9 @@ BAD_INPUTS = {
                             "--rhs", data("intro_M.nf"), "--arity", "1"], {}),
     "pmc-reduce-nf-rhs": _pmc_reduce("intro_M.nf", UNARY_MC),
     "nf-anchor": _solve_nf(NF_TEXT.replace("anchor 0 0", "anchor 0")),
+    "nf-anchor-twice": _solve_nf(NF_TEXT.replace("anchor 0 0", "anchor 0 0\nanchor 0 0")),
     "nf-lambda": _solve_nf(NF_TEXT.replace("lambda 0 0", "lambda")),
+    "nf-lambda-twice": _solve_nf(NF_TEXT.replace("lambda 0 0", "lambda 0 0\nlambda 0")),
     "nf-xi": _solve_nf(NF_TEXT.replace("anchor", "xi 0\nanchor")),
     "nf-block": _solve_nf(NF_TEXT.replace("block 0", "block")),
     "nf-block-two": _solve_nf(NF_TEXT.replace("block 0", "block 1 2")),
@@ -133,6 +135,10 @@ BAD_INPUTS = {
     "nf-coords-negative": _solve_nf(NF_TEXT.replace("coords 1", "coords -1")),
     "nf-coords-negative-bare": _solve_nf(
         NF_TEXT.replace("coords 1", "coords -1").replace("anchor 0 0\n", "")),
+    "empty-template": (["classify", "--lhs", "empty.mon", "--rhs", data("introN_3.mon")],
+                       {"empty.mon": ""}),
+    "comment-template": (["classify", "--lhs", "comment.mon", "--rhs", data("introN_3.mon")],
+                         {"comment.mon": "# no carrier\n"}),
     "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
     "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
 }
@@ -211,6 +217,19 @@ def test_pmc_reduce_refuses_a_huge_power_without_forming_it(tmp_path, deadline):
 def test_bad_nf_field_error_names_its_line(name, tmp_path, capsys):
     main(_write(*BAD_INPUTS[name], tmp_path))
     assert capsys.readouterr().err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("name, line", [("nf-anchor-twice", 7), ("nf-lambda-twice", 6)])
+def test_a_repeated_nf_line_is_refused_at_that_line(name, line, tmp_path, capsys):
+    assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: second ")
+
+
+@pytest.mark.parametrize("name", ["empty-template", "comment-template"])
+def test_a_template_without_a_carrier_names_no_expectation(name, tmp_path, capsys):
+    assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "None" not in err
 
 
 @pytest.mark.parametrize("name", ["nf-coords-negative",

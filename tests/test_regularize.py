@@ -13,6 +13,7 @@ from monoidpcsp.core import (
     enumerate_homs,
     eval_exponents,
     flipflop1,
+    generator_walk,
     green_leq,
     idempotents,
     is_commutative,
@@ -20,7 +21,9 @@ from monoidpcsp.core import (
     is_hom_map,
     is_semilattice,
     null_extension,
+    power_walk,
     semilattice_chain,
+    submonoid,
 )
 from monoidpcsp.errors import (
     MonoidError,
@@ -29,6 +32,7 @@ from monoidpcsp.errors import (
 )
 from monoidpcsp.model import parse_template
 from monoidpcsp.regularize import (
+    NFIsomorphism,
     ab_reg,
     abelianization,
     congruence_closure,
@@ -46,6 +50,7 @@ from monoidpcsp.regularize import (
 )
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 from monoidpcsp.zlinalg import lattice_from_generators, lattice_member
+from conftest import clifford
 
 
 def monogenic(index, period):
@@ -276,7 +281,8 @@ def test_to_normal_form_round_trip():
 def test_lambda_from_the_idempotent_order_agrees_with_green_leq():
     """On a commutative completely regular M, an idempotent e lies in gM
     exactly when e*e_g = e; green_leq is the reference.  to_normal_form
-    reads lambda from the idempotent order."""
+    reads lambda from the walk's edges: g_k is in lam(d) when an edge
+    a -> a*g_k keeps the idempotent d."""
     pairs = 0
     for M in commutative_regular_sweep(6):
         for e in idempotents(M):
@@ -288,6 +294,67 @@ def test_lambda_from_the_idempotent_order_agrees_with_green_leq():
             assert iso.nf.lam[d] == {alpha for alpha, g in enumerate(iso.generators)
                                      if green_leq(M, od, g)}
     assert pairs == 732
+
+
+def box_normal_form(M):
+    """The normal form read off evaluation boxes, a reference for
+    to_normal_form: lam(d) holds the generators g with d*e_g = d, xi(d) is
+    spanned by the vectors m*e_g for g's order m in d's group and by the
+    points of the box prod(range(m)) that evaluate to d, and each element
+    is encoded by the first box point that evaluates to it."""
+    gens = generator_walk(M)[0]
+    q = len(gens)
+    N, idem_of_new, new_of_idem = submonoid(M, idempotents(M))
+    lam = [frozenset(alpha for alpha, g in enumerate(gens)
+                     if M.mul(od, d_of(M, g)) == od) for od in idem_of_new]
+    xi = []
+    encode_of = {}
+    for d, od in enumerate(idem_of_new):
+        supp = sorted(lam[d])
+        gs = [M.mul(od, gens[alpha]) for alpha in supp]
+        orders = [len(power_walk(M, g)) for g in gs]
+        kernel_gens = []
+        for alpha, m in zip(supp, orders):
+            vec = [0] * q
+            vec[alpha] = m
+            kernel_gens.append(vec)
+        for expo in product(*(range(m) for m in orders)):
+            val = eval_exponents(M, od, gs, expo)
+            vec = [0] * q
+            for alpha, n in zip(supp, expo):
+                vec[alpha] = n
+            if val == od and any(expo):
+                kernel_gens.append(vec)
+            encode_of.setdefault(val, (d, vec))
+        xi.append(lattice_from_generators(q, kernel_gens))
+    NF = make_normal_form(N, q, lam, xi, [new_of_idem[d_of(M, g)] for g in gens])
+    return NFIsomorphism(M, NF, tuple(gens), tuple(idem_of_new),
+                         tuple(nf_element(NF, *encode_of[a]) for a in M.elements))
+
+
+def test_to_normal_form_matches_the_evaluation_boxes():
+    """The relators of the walk's closed edges span the same relation
+    lattices as the boxes, so the whole isomorphism, encode table
+    included, is the same record."""
+    monoids = commutative_regular_sweep(6, unique=True) + [
+        direct_product(semilattice_chain(3), cyclic(2)),
+        direct_product(cyclic(3), semilattice_chain(2)),
+        direct_product(cyclic(6), semilattice_chain(3)),
+        direct_product(direct_product(cyclic(2), semilattice_chain(3)),
+                       semilattice_chain(2)),
+        direct_product(cyclic(2), semilattice_chain(16)),
+    ] + [clifford(t) for t in range(7)]
+    for M in monoids:
+        assert to_normal_form(M) == box_normal_form(M)
+
+
+def test_to_normal_form_of_a_clifford_monoid_is_fast(deadline):
+    """C_24's 24 generators of order 2 meet in one group of two elements,
+    where an evaluation box would list 2^24 exponent vectors."""
+    M = clifford(24)
+    with deadline(2):
+        iso = to_normal_form(M)
+    assert all(iso.decode(iso.encode(a)) == a for a in M.elements)
 
 
 def test_to_normal_form_trivial():

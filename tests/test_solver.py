@@ -33,7 +33,7 @@ from monoidpcsp.solver import (
     solve_tractable,
 )
 from monoidpcsp.sweep import commutative_regular_sweep
-from conftest import greedy_set_is_larger, intro_instance, intro_nf_template
+from conftest import clifford, greedy_set_is_larger, intro_instance, intro_nf_template
 
 
 def test_minimal_homomorphism_is_pointwise_least():
@@ -190,6 +190,17 @@ def test_a_template_needing_eleven_generators_solves_at_once(deadline):
     I = make_instance(4, [Relation((0,)), Relation((1,)),
                           Product(0, 1, 2), Product(2, 2, 3)])
     with deadline(1):
+        assignment = solve_tractable(T, I)
+        assert assignment is not None
+        assert check_assignment(T, I, assignment)
+
+
+def test_a_clifford_template_with_a_large_bottom_group_solves_at_once(deadline):
+    """C_24's 24 generators of order 2 all meet in its bottom group, where
+    an evaluation box would list 2^24 exponent vectors."""
+    T = make_finite_template(clifford(24), 1, [(0,)])
+    I = make_instance(2, [Relation((0,)), Product(0, 1, 1)])
+    with deadline(2):
         assignment = solve_tractable(T, I)
         assert assignment is not None
         assert check_assignment(T, I, assignment)
