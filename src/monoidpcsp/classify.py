@@ -50,10 +50,12 @@ def _try_witness(relN, image_elems, rel_image):
 
 def relation_preserving_homs(relM, relN):
     """Homomorphisms between carriers that map relM's relation into relN's,
-    in deterministic order, paired with their relation images."""
+    in deterministic order, paired with their relation images.  A hom's
+    image is built only up to its first tuple outside relN's relation, so a
+    hom that is thrown away costs no more than that."""
     check_pair(relM, relN)
     homs = homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation)
-    pairs = ((h, h.relation_image(relM)) for h in homs)
+    pairs = ((h, h.relation_image(relM, relN.relation)) for h in homs)
     return [(h, image) for h, image in pairs if image <= relN.relation]
 
 

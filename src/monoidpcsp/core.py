@@ -118,8 +118,8 @@ class MonoidHom:
 
     It shares one protocol with :class:`regularize.NFHom`, so callers never
     ask which kind of hom they hold: ``h(a)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)`` and
-    ``constant()``.
+    ``image_set()``, ``relation_image(T, allowed)``,
+    ``pointwise_product(other)`` and ``constant()``.
     """
 
     source: FiniteMonoid
@@ -136,8 +136,10 @@ class MonoidHom:
     def image_set(self):
         return frozenset(self.images)
 
-    def relation_image(self, T):
-        """The image of a finite template's relation, as a tuple set."""
+    def relation_image(self, T, allowed=None):
+        """The image of a finite template's relation, as a tuple set.  It is
+        always built whole: ``allowed`` is there for the protocol, since
+        :func:`enumerate_homs` has already cut the homs that leave it."""
         return frozenset(tuple(self.images[a] for a in t) for t in T.relation)
 
     def pointwise_product(self, other):
@@ -310,12 +312,20 @@ def generated_subset(M, gens):
     return closed_under(M, (M.identity,), gens)
 
 
-def closed_under(M, start, gens):
+def closed_under(M, start, gens, within=None):
     """The least superset of start closed under right multiplication by each
     of gens.  Every element is a member of start times a left-folded word in
-    the generators, so the frontier is multiplied by the generators only."""
+    the generators, so the frontier is multiplied by the generators only.
+
+    Given a set ``within``, the walk stops at the first element it holds
+    outside ``within``, a member of start included, and returns what it
+    holds then: a subset of the closure with an element outside ``within``.
+    So the result lies in ``within`` exactly when the closure does, and is
+    then the whole closure."""
     gens = list(gens)
     closed = set(start)
+    if within is not None and not closed <= within:
+        return frozenset(closed)
     frontier = list(closed)
     while frontier:
         nxt = []
@@ -324,6 +334,8 @@ def closed_under(M, start, gens):
                 c = M.mul(a, g)
                 if c not in closed:
                     closed.add(c)
+                    if within is not None and c not in within:
+                        return frozenset(closed)
                     nxt.append(c)
         frontier = nxt
     return frozenset(closed)

@@ -33,9 +33,13 @@ class TargetNotRegularCommutative(MonoidError):
 
 
 class ParseError(MonoidError):
+    """An input error at line line_no, or at the end of the input when
+    line_no is None."""
+
     def __init__(self, line_no, msg):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {msg}")
+        where = "at end of input" if line_no is None else f"line {line_no}"
+        super().__init__(f"{where}: {msg}")
 
 
 class ValidationError(MonoidError):

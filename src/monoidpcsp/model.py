@@ -302,8 +302,8 @@ class _Cursor:
 
     def take(self, expect=None):
         if self.pos >= len(self.lines):
-            raise ParseError(0, "unexpected end of input"
-                             + (f" (wanted {expect})" if expect else ""))
+            raise ParseError(None, f"expected {expect!r}" if expect
+                             else "expected another line")
         no, toks = self.lines[self.pos]
         self.pos += 1
         if expect is not None and toks[0] != expect:

@@ -356,8 +356,8 @@ class NFHom:
 
     It shares one protocol with :class:`core.MonoidHom`, so callers never ask
     which kind of hom they hold: ``h(x)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)`` and
-    ``constant()``.
+    ``image_set()``, ``relation_image(T, allowed)``,
+    ``pointwise_product(other)`` and ``constant()``.
     """
 
     source: NormalFormMonoid
@@ -379,8 +379,8 @@ class NFHom:
     def image_set(self):
         return nf_hom_image(self)
 
-    def relation_image(self, T):
-        return nf_relation_image(self, T)
+    def relation_image(self, T, allowed=None):
+        return nf_relation_image(self, T, allowed)
 
     def pointwise_product(self, other):
         F = self.target
@@ -401,7 +401,7 @@ def nf_hom_image(h):
     return generated_subset(h.target, h.generating_images())
 
 
-def nf_relation_image(h, T):
+def nf_relation_image(h, T, allowed=None):
     """h(R) for an NF template relation, as a finite tuple set over the
     target: per block, the image o of the offset times the subgroup
     generated by the images W of the lattice generators.
@@ -411,12 +411,20 @@ def nf_relation_image(h, T):
     inverses, so w lies in a subgroup of F^r, of some finite order m there.
     Then w^-1 = w^j with j >= 1: j = m - 1 when m >= 2, and j = 1 when w is
     idempotent.  A word in W and W^-1 therefore equals a word in W, and the
-    closure of {o} under W already holds o * w^-1."""
+    closure of {o} under W already holds o * w^-1.
+
+    Given a tuple set ``allowed``, it returns h(R) when h(R) lies in
+    ``allowed`` and otherwise a subset of h(R) with a tuple outside it:
+    each block's closure stops at its first tuple outside ``allowed``, and
+    no block after that one is built."""
     NF, F = h.source, h.target
     r, q = T.arity, NF.num_coords
     P = CartesianPower(F, r)
     out = set()
+    image = frozenset()
     for block in T.relation:
+        if allowed is not None and not image <= allowed:
+            break   # the previous block's image left allowed
         o = tuple(
             h(nf_element(NF, block.d_tuple[i],
                          block.coset.offset[i * q:(i + 1) * q]))
@@ -424,7 +432,8 @@ def nf_relation_image(h, T):
         words = [tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
                        for i in range(r))
                  for u in block.coset.lattice.basis]
-        out.update(closed_under(P, (o,), words))
+        image = closed_under(P, (o,), words, allowed)
+        out.update(image)
     return frozenset(out)
 
 

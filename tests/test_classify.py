@@ -210,6 +210,14 @@ def test_direct_and_regularized_paths_agree_on_small_pairs():
     assert checked > 100
 
 
+def filtered_over_every_hom(relM, relN):
+    """relation_preserving_homs by its definition: every hom, its full
+    relation image, and the filter on it."""
+    homs = homs_into(relM.carrier, relN.carrier)
+    images = [(h, h.relation_image(relM)) for h in homs]
+    return [(h, image) for h, image in images if image <= relN.relation], len(homs)
+
+
 def test_relation_preserving_homs_matches_the_filter_over_every_hom():
     rng = random.Random(5)
     sweep = monoid_sweep(3, unique=True)
@@ -231,11 +239,58 @@ def test_relation_preserving_homs_matches_the_filter_over_every_hom():
             rel_N |= {tuple(h(a) for a in t) for t in rel_M}
         relM = make_finite_template(M, arity, rel_M)
         relN = make_finite_template(N, arity, rel_N)
-        expected = [(h, h.relation_image(relM)) for h in homs
-                    if h.relation_image(relM) <= relN.relation]
+        expected, _ = filtered_over_every_hom(relM, relN)
         assert relation_preserving_homs(relM, relN) == expected, (relM, relN)
         cut += 0 < len(expected) < len(homs)
     assert cut > 50
+
+
+def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
+    """The images that stop at their first tuple outside relN lose no hom
+    and change no kept image: intro_M.nf into Z/1..Z/12 with the
+    non-constant triples and with seeded relations, some of which hold a
+    hom's full image, and the normal forms of seeded coset templates over
+    small commutative regular monoids into every monoid of size at most 3."""
+    rng = random.Random(25)
+    T = data_template("intro_M.nf")
+    pairs = []
+    for n in range(1, 13):
+        pairs.append((T, intro_target(n)))
+        homs = homs_into(T.carrier, cyclic(n))
+        cube = list(product(range(n), repeat=3))
+        for _ in range(3):
+            rel = set(rng.sample(cube, rng.randint(0, len(cube))))
+            if rng.random() < 0.7:
+                rel |= rng.choice(homs).relation_image(T)
+            pairs.append((T, make_finite_template(cyclic(n), 3, rel)))
+    for S in commutative_regular_sweep(3, unique=True):
+        P = CartesianPower(S, 2)
+        elems = list(P.elements)
+        seeds = rng.sample(elems, rng.randint(1, min(3, len(elems))))
+        TS, _ = finite_template_to_nf(
+            make_finite_template(S, 2, coset_closure(P, seeds).members))
+        for F in monoid_sweep(3, unique=True):
+            square = list(product(F.elements, repeat=2))
+            rel = set(rng.sample(square, rng.randint(0, len(square))))
+            homs = homs_into(TS.carrier, F)
+            if rng.random() < 0.7:
+                rel |= rng.choice(homs).relation_image(TS)
+            pairs.append((TS, make_finite_template(F, 2, rel)))
+    cut = 0
+    for relM, relN in pairs:
+        expected, count = filtered_over_every_hom(relM, relN)
+        assert relation_preserving_homs(relM, relN) == expected, (relM, relN)
+        cut += 0 < len(expected) < count
+    assert cut > 20, cut
+
+
+def test_an_np_hard_intro_target_classifies_at_once(deadline):
+    """intro_M.nf against Z/32 with the non-constant triples: every hom
+    leaves relN, and each relation image stops at its first tuple outside
+    it, where a full image has up to 32^3 tuples."""
+    T = data_template("intro_M.nf")
+    with deadline(1):
+        assert classify(T, intro_target(32)).verdict == "NPHard"
 
 
 def test_sandwich_check_rejects_corrupted_witness():

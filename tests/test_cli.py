@@ -139,6 +139,8 @@ BAD_INPUTS = {
                        {"empty.mon": ""}),
     "comment-template": (["classify", "--lhs", "comment.mon", "--rhs", data("introN_3.mon")],
                          {"comment.mon": "# no carrier\n"}),
+    "table-cut-short": (["classify", "--lhs", "cut.mon", "--rhs", data("introN_3.mon")],
+                        {"cut.mon": "monoid 2 0\n0 1\n"}),
     "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
     "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
 }
@@ -230,6 +232,15 @@ def test_a_template_without_a_carrier_names_no_expectation(name, tmp_path, capsy
     assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "None" not in err
+
+
+@pytest.mark.parametrize("name", ["empty-template", "comment-template", "table-cut-short"])
+def test_an_input_that_ends_early_names_no_line(name, tmp_path, capsys):
+    """No file has a line 0: an input that ends where a line is wanted is
+    reported at the end of the input."""
+    assert main(_write(*BAD_INPUTS[name], tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: at end of input: ") and "line 0" not in err
 
 
 @pytest.mark.parametrize("name", ["nf-coords-negative",

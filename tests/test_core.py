@@ -7,6 +7,7 @@ import pytest
 from monoidpcsp.core import (
     CartesianPower,
     backtrack,
+    closed_under,
     cyclic,
     d_of,
     direct_product,
@@ -248,6 +249,47 @@ def test_generated_submonoid():
     M = cyclic(6)
     assert generated_subset(M, {2}) == frozenset({0, 2, 4})
     assert generated_subset(M, {1}) == frozenset(M.elements)
+
+
+def test_closed_under_within_stops_at_the_first_element_outside():
+    """Given ``within``, closed_under returns a part of the closure: the
+    whole closure when the closure lies in ``within``, else a part that
+    holds an element outside it (the whole closure too, when that element
+    comes last), and only one such element when every start member lies in
+    ``within``.  Seeded start sets, generators and ``within`` sets in the
+    square of each small monoid; some ``within`` sets hold the closure, some
+    miss only a start member, some miss only one element of the closure."""
+    rng = random.Random(25)
+    monoids = monoid_sweep(3, unique=True) + [
+        cyclic(4), direct_product(cyclic(2), semilattice_chain(2))]
+    kinds = {"inside": 0, "start out": 0, "reached out": 0}
+    for M in monoids:
+        P = CartesianPower(M, 2)
+        elems = list(P.elements)
+        for _ in range(30):
+            start = rng.choices(elems, k=rng.randint(1, 2))
+            gens = rng.choices(elems, k=rng.randint(0, 2))
+            full = closed_under(P, start, gens)
+            extra = set(rng.sample(elems, rng.randint(0, len(elems))))
+            within = [full | extra, extra,
+                      full - {rng.choice(start)}, full - {rng.choice(sorted(full))}]
+            for w in within:
+                got = closed_under(P, start, gens, w)
+                assert got <= full
+                assert (got <= w) == (full <= w)
+                if full <= w:
+                    assert got == full
+                    kinds["inside"] += 1
+                    continue
+                escaped = got - w
+                assert escaped
+                if set(start) <= w:
+                    assert len(escaped) == 1
+                    kinds["reached out"] += 1
+                else:
+                    assert got == set(start)
+                    kinds["start out"] += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 def test_make_hom_refuses_a_map_that_is_not_a_hom():
