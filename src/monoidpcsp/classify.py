@@ -50,13 +50,9 @@ def _try_witness(relN, image_elems, rel_image):
 
 def relation_preserving_homs(relM, relN):
     """Homomorphisms between carriers that map relM's relation into relN's,
-    in deterministic order, paired with their relation images.  A hom's
-    image is built only up to its first tuple outside relN's relation, so a
-    hom that is thrown away costs no more than that."""
+    in deterministic order."""
     check_pair(relM, relN)
-    homs = homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation)
-    pairs = ((h, h.relation_image(relM, relN.relation)) for h in homs)
-    return [(h, image) for h, image in pairs if image <= relN.relation]
+    return homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation)
 
 
 def classify(relM, relN):
@@ -74,8 +70,8 @@ def classify(relM, relN):
     preserving = relation_preserving_homs(relM, relN)
     if not preserving and not nf:
         raise PromiseViolation("no relational homomorphism between the templates")
-    for h, rel_image in preserving:
-        got = _try_witness(relN, h.image_set(), rel_image)
+    for h in preserving:
+        got = _try_witness(relN, h.image_set(), h.relation_image(relM))
         if got is not None:
             sandwich, embedding = got
             return Classification("Tractable", h, sandwich, embedding)

@@ -118,8 +118,8 @@ class MonoidHom:
 
     It shares one protocol with :class:`regularize.NFHom`, so callers never
     ask which kind of hom they hold: ``h(a)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T, allowed)``,
-    ``pointwise_product(other)`` and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``
+    and ``constant()``.
     """
 
     source: FiniteMonoid
@@ -136,10 +136,8 @@ class MonoidHom:
     def image_set(self):
         return frozenset(self.images)
 
-    def relation_image(self, T, allowed=None):
-        """The image of a finite template's relation, as a tuple set.  It is
-        always built whole: ``allowed`` is there for the protocol, since
-        :func:`enumerate_homs` has already cut the homs that leave it."""
+    def relation_image(self, T):
+        """The image of a finite template's relation, as a tuple set."""
         return frozenset(tuple(self.images[a] for a in t) for t in T.relation)
 
     def pointwise_product(self, other):
@@ -317,15 +315,13 @@ def closed_under(M, start, gens, within=None):
     of gens.  Every element is a member of start times a left-folded word in
     the generators, so the frontier is multiplied by the generators only.
 
-    Given a set ``within``, the walk stops at the first element it holds
-    outside ``within``, a member of start included, and returns what it
-    holds then: a subset of the closure with an element outside ``within``.
-    So the result lies in ``within`` exactly when the closure does, and is
-    then the whole closure."""
+    Given a set ``within``, it returns None at the first element it holds
+    outside ``within``, a member of start included, so it returns the
+    closure exactly when the closure lies in ``within``."""
     gens = list(gens)
     closed = set(start)
     if within is not None and not closed <= within:
-        return frozenset(closed)
+        return None
     frontier = list(closed)
     while frontier:
         nxt = []
@@ -335,7 +331,7 @@ def closed_under(M, start, gens, within=None):
                 if c not in closed:
                     closed.add(c)
                     if within is not None and c not in within:
-                        return frozenset(closed)
+                        return None
                     nxt.append(c)
         frontier = nxt
     return frozenset(closed)

@@ -356,8 +356,8 @@ class NFHom:
 
     It shares one protocol with :class:`core.MonoidHom`, so callers never ask
     which kind of hom they hold: ``h(x)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T, allowed)``,
-    ``pointwise_product(other)`` and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``
+    and ``constant()``.
     """
 
     source: NormalFormMonoid
@@ -379,8 +379,8 @@ class NFHom:
     def image_set(self):
         return nf_hom_image(self)
 
-    def relation_image(self, T, allowed=None):
-        return nf_relation_image(self, T, allowed)
+    def relation_image(self, T):
+        return nf_relation_image(self, T)
 
     def pointwise_product(self, other):
         F = self.target
@@ -401,54 +401,46 @@ def nf_hom_image(h):
     return generated_subset(h.target, h.generating_images())
 
 
-def nf_relation_image(h, T, allowed=None):
-    """h(R) for an NF template relation, as a finite tuple set over the
-    target: per block, the image o of the offset times the subgroup
-    generated by the images W of the lattice generators.
+def _block_image(F, phis, gens, block, q, within=None):
+    """The image of one block of an NF relation under the hom with
+    semilattice images ``phis`` and generator images ``gens``: the image o
+    of the offset (its slices evaluated unreduced, as a hom kills xi(d))
+    closed under the images W of the lattice generators, or None once it
+    leaves ``within``.
 
-    That is the closure of {o} under W alone, not under W and W^-1.  Each
-    w in W is a product of the commuting regular generator images and their
+    Closing under W alone gives the closure under W and W^-1.  Each w in W
+    is a product of the commuting regular generator images and their
     inverses, so w lies in a subgroup of F^r, of some finite order m there.
     Then w^-1 = w^j with j >= 1: j = m - 1 when m >= 2, and j = 1 when w is
-    idempotent.  A word in W and W^-1 therefore equals a word in W, and the
-    closure of {o} under W already holds o * w^-1.
-
-    Given a tuple set ``allowed``, it returns h(R) when h(R) lies in
-    ``allowed`` and otherwise a subset of h(R) with a tuple outside it:
-    each block's closure stops at its first tuple outside ``allowed``, and
-    no block after that one is built."""
-    NF, F = h.source, h.target
-    r, q = T.arity, NF.num_coords
-    P = CartesianPower(F, r)
-    out = set()
-    image = frozenset()
-    for block in T.relation:
-        if allowed is not None and not image <= allowed:
-            break   # the previous block's image left allowed
-        o = tuple(
-            h(nf_element(NF, block.d_tuple[i],
-                         block.coset.offset[i * q:(i + 1) * q]))
-            for i in range(r))
-        words = [tuple(eval_exponents(F, F.identity, h.gen_images, u[i * q:(i + 1) * q])
-                       for i in range(r))
-                 for u in block.coset.lattice.basis]
-        image = closed_under(P, (o,), words, allowed)
-        out.update(image)
-    return frozenset(out)
+    idempotent.  A word in W and W^-1 therefore equals a word in W."""
+    r = len(block.d_tuple)
+    o = tuple(eval_exponents(F, phis[d], gens, block.coset.offset[i * q:(i + 1) * q])
+              for i, d in enumerate(block.d_tuple))
+    words = [tuple(eval_exponents(F, F.identity, gens, u[i * q:(i + 1) * q])
+                   for i in range(r))
+             for u in block.coset.lattice.basis]
+    return closed_under(CartesianPower(F, r), (o,), words, within)
 
 
-def homs_into(M, F, tuples=(), allowed=frozenset()):
+def nf_relation_image(h, T):
+    """h(R) for an NF template relation: the union of its blocks' images."""
+    q = h.source.num_coords
+    return frozenset().union(*(_block_image(h.target, h.phi_images, h.gen_images, block, q)
+                               for block in T.relation))
+
+
+def homs_into(M, F, relation=(), allowed=frozenset()):
     """Every homomorphism from a carrier (finite or normal form) into the
-    finite monoid F, in deterministic order.  For a finite M, only the homs
-    that map each of ``tuples`` into ``allowed``; an NF M lists them all."""
+    finite monoid F that maps ``relation`` (the tuples of a finite M, the
+    blocks of an NF M) into ``allowed``, in deterministic order."""
     if isinstance(M, NormalFormMonoid):
-        return nf_homs_to_finite(M, F)
-    return enumerate_homs(M, F, tuples, allowed)
+        return nf_homs_to_finite(M, F, relation, allowed)
+    return enumerate_homs(M, F, relation, allowed)
 
 
-def nf_homs_to_finite(NF, F):
-    """All monoid homomorphisms from NF into the finite monoid F, ordered by
-    (phi_images, gen_images).
+def nf_homs_to_finite(NF, F, blocks=(), allowed=frozenset()):
+    """The monoid homomorphisms from NF into the finite monoid F that map
+    each of ``blocks`` into ``allowed``, ordered by (phi_images, gen_images).
 
     A hom is a semilattice hom phi: N -> F and regular generator images
     g_alpha, d_{g_alpha} = phi(anchor(alpha)), that commute with each other
@@ -456,15 +448,18 @@ def nf_homs_to_finite(NF, F):
     needs no more test: phi(d)^2 = phi(d^2) = phi(d) and phi(a)phi(b) =
     phi(ab) = phi(ba).  :func:`core.backtrack` tests g_alpha against the
     earlier g and phi's images, and against each row of xi whose last
-    non-zero coordinate is alpha.  enumerate_homs yields phi in image order
-    and backtrack the g in lexicographic order, so the list needs no sort.
+    non-zero coordinate is alpha; each complete hom is then kept when every
+    block's image stays in ``allowed``.  enumerate_homs yields phi in image
+    order and backtrack the g in lexicographic order, so the list needs no
+    sort.
     """
     regular_of = {}     # idempotent e -> its maximal subgroup, in element order
     for a in F.elements:
         e = d_of(F, a)
         if F.mul(e, a) == a:
             regular_of.setdefault(e, []).append(a)
-    relators_at = [[] for _ in range(NF.num_coords)]   # by last non-zero alpha
+    q = NF.num_coords
+    relators_at = [[] for _ in range(q)]   # by last non-zero alpha
     for d in NF.semilattice.elements:
         for row in NF.xi[d].basis:
             last = max(j for j, n in enumerate(row) if n)
@@ -480,5 +475,7 @@ def nf_homs_to_finite(NF, F):
     for phi in enumerate_homs(NF.semilattice, F):
         phis = phi.images
         candidates = [regular_of[phis[d]] for d in NF.anchors]
-        out.extend(NFHom(NF, F, phis, g) for g in backtrack(candidates, accept))
+        out.extend(NFHom(NF, F, phis, g) for g in backtrack(candidates, accept)
+                   if all(_block_image(F, phis, g, block, q, allowed) is not None
+                          for block in blocks))
     return out

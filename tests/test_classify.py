@@ -113,7 +113,7 @@ def test_arity_mismatch():
 def test_nf_hom_image_matches_pointwise_evaluation():
     T = intro_nf_template()
     target = intro_target(6)
-    for h, _ in relation_preserving_homs(T, target):
+    for h in relation_preserving_homs(T, target):
         image = nf_hom_image(h)
         from monoidpcsp.regularize import nf_element
         seen = {h(nf_element(T.carrier, 0, [k])) for k in range(-12, 13)}
@@ -132,11 +132,10 @@ def test_nf_hom_image_is_the_image_of_every_element():
 def test_nf_relation_image_inside_target_relation():
     T = intro_nf_template()
     target = intro_target(3)
-    pairs = relation_preserving_homs(T, target)
-    assert pairs
-    for h, image in pairs:
-        assert image <= target.relation
-        assert image == nf_relation_image(h, T)
+    homs = relation_preserving_homs(T, target)
+    assert homs
+    for h in homs:
+        assert nf_relation_image(h, T) <= target.relation
 
 
 def relation_image_by_definition(h, T):
@@ -214,8 +213,7 @@ def filtered_over_every_hom(relM, relN):
     """relation_preserving_homs by its definition: every hom, its full
     relation image, and the filter on it."""
     homs = homs_into(relM.carrier, relN.carrier)
-    images = [(h, h.relation_image(relM)) for h in homs]
-    return [(h, image) for h, image in images if image <= relN.relation], len(homs)
+    return [h for h in homs if h.relation_image(relM) <= relN.relation], len(homs)
 
 
 def test_relation_preserving_homs_matches_the_filter_over_every_hom():
@@ -245,12 +243,25 @@ def test_relation_preserving_homs_matches_the_filter_over_every_hom():
     assert cut > 50
 
 
+def seeded_coset_template(S, arity, rng):
+    """A seeded coset relation of the given arity over the finite
+    commutative regular monoid S."""
+    P = CartesianPower(S, arity)
+    elems = list(P.elements)
+    seeds = rng.sample(elems, rng.randint(1, min(3, len(elems))))
+    return make_finite_template(S, arity, coset_closure(P, seeds).members)
+
+
 def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
-    """The images that stop at their first tuple outside relN lose no hom
-    and change no kept image: intro_M.nf into Z/1..Z/12 with the
-    non-constant triples and with seeded relations, some of which hold a
-    hom's full image, and the normal forms of seeded coset templates over
-    small commutative regular monoids into every monoid of size at most 3."""
+    """The search that keeps a hom only when every block's image lies in
+    relN loses no hom and keeps none that leaves relN: intro_M.nf into
+    Z/1..Z/12 with the non-constant triples and with seeded relations, some
+    of which hold a hom's full image, and the normal forms (up to three
+    coordinates) of seeded coset templates of arity 1 and 2 over small
+    commutative regular monoids into every monoid of size at most 3, Z/4
+    and C2 x C2.  On the coset templates of arity 1 and 2, the finite
+    search on the template keeps the same homs as the search on its normal
+    form, each NF hom read through the isomorphism's encode."""
     rng = random.Random(25)
     T = data_template("intro_M.nf")
     pairs = []
@@ -264,11 +275,7 @@ def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
                 rel |= rng.choice(homs).relation_image(T)
             pairs.append((T, make_finite_template(cyclic(n), 3, rel)))
     for S in commutative_regular_sweep(3, unique=True):
-        P = CartesianPower(S, 2)
-        elems = list(P.elements)
-        seeds = rng.sample(elems, rng.randint(1, min(3, len(elems))))
-        TS, _ = finite_template_to_nf(
-            make_finite_template(S, 2, coset_closure(P, seeds).members))
+        TS, _ = finite_template_to_nf(seeded_coset_template(S, 2, rng))
         for F in monoid_sweep(3, unique=True):
             square = list(product(F.elements, repeat=2))
             rel = set(rng.sample(square, rng.randint(0, len(square))))
@@ -276,12 +283,30 @@ def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
             if rng.random() < 0.7:
                 rel |= rng.choice(homs).relation_image(TS)
             pairs.append((TS, make_finite_template(F, 2, rel)))
+    targets = monoid_sweep(3, unique=True) + [
+        cyclic(4), direct_product(cyclic(2), cyclic(2))]
+    for S in commutative_regular_sweep(4, unique=True):
+        for arity in (1, 2):
+            TF = seeded_coset_template(S, arity, rng)
+            TS, iso = finite_template_to_nf(TF)
+            for F in targets:
+                power = list(product(F.elements, repeat=arity))
+                rel = set(rng.sample(power, rng.randint(0, len(power))))
+                if rng.random() < 0.7:
+                    rel |= rng.choice(homs_into(TS.carrier, F)).relation_image(TS)
+                relN = make_finite_template(F, arity, rel)
+                pairs.append((TS, relN))
+                # the finite search keeps the same homs, read through encode
+                finite = sorted(h.images for h in relation_preserving_homs(TF, relN))
+                nf = sorted(tuple(h(iso.encode(a)) for a in S.elements)
+                            for h in relation_preserving_homs(TS, relN))
+                assert finite == nf, (TF, relN)
     cut = 0
     for relM, relN in pairs:
         expected, count = filtered_over_every_hom(relM, relN)
         assert relation_preserving_homs(relM, relN) == expected, (relM, relN)
         cut += 0 < len(expected) < count
-    assert cut > 20, cut
+    assert cut > 120, cut
 
 
 def test_an_np_hard_intro_target_classifies_at_once(deadline):
