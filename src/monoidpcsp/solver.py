@@ -82,8 +82,9 @@ class SigmaSystem:
     fixed minimal homomorphism h.
 
     Columns 0 .. var_count*q - 1 hold the coordinate vectors v^x; further
-    columns hold fresh multipliers for relation-lattice generators.  A row is
-    a tuple of non-zero (column, coefficient) pairs by ascending column.
+    columns hold fresh multipliers, one per divisor d > 1 of a lattice's
+    congruences.  A row is a tuple of non-zero (column, coefficient) pairs
+    by ascending column.
     """
 
     var_count: int
@@ -96,6 +97,12 @@ class SigmaSystem:
 def build_sigma(T, I, h):
     """The system Sigma of T and I above the least hom h of
     :func:`minimal_homomorphism`.
+
+    Sigma asks each REL tuple w to lie in its block's offset + L, and each
+    MUL residual v^x + v^y - v^z to lie in xi(h[z]).  Both are written by
+    one rule from the lattice's :attr:`Lattice.congruences`: one row
+    u.w - d*m = u.offset per pair (u, d), with a fresh multiplier m only
+    for d > 1.  Over intro_M a REL is the one row x + y + z - 3m = 1.
 
     Every relation constraint's d-tuple under h names a block: h is returned
     only after check_assignment(TI, I, h), and the relation of TI is exactly
@@ -115,32 +122,33 @@ def build_sigma(T, I, h):
         for alpha in range(q):
             if alpha not in NF.lam[h[x]]:
                 rows.append(({col(x, alpha): 1}, 0))
+
+    def congruent(lattice, terms, rhs):
+        # w is the sum of the terms (sign, x, start): sign * v^x, read
+        # against u's coordinates from start
+        nonlocal multipliers
+        for u, d in lattice.congruences:
+            coeffs = {}
+            for sign, x, start in terms:
+                for alpha in range(q):
+                    if a := u[start + alpha]:
+                        cc = col(x, alpha)
+                        coeffs[cc] = coeffs.get(cc, 0) + sign * a
+            if d:
+                coeffs[base + multipliers] = -d
+                multipliers += 1
+            rows.append((coeffs, sum(a * b for a, b in zip(u, rhs))))
+
     for c in I.constraints:
         if isinstance(c, Identity):
             for alpha in range(q):
                 rows.append(({col(c.x, alpha): 1}, 0))
         elif isinstance(c, Product):
-            W = NF.xi[h[c.z]].basis
-            start = base + multipliers
-            multipliers += len(W)
-            for alpha in range(q):
-                coeffs = {}
-                for cc, s in ((col(c.x, alpha), 1), (col(c.y, alpha), 1),
-                              (col(c.z, alpha), -1)):
-                    coeffs[cc] = coeffs.get(cc, 0) + s
-                coeffs.update((start + k, -u[alpha]) for k, u in enumerate(W))
-                rows.append((coeffs, 0))
+            congruent(NF.xi[h[c.z]], ((1, c.x, 0), (1, c.y, 0), (-1, c.z, 0)), ())
         else:
             coset = blocks[tuple(h[v] for v in c.vars)]
-            V = coset.lattice.basis
-            start = base + multipliers
-            multipliers += len(V)
-            for i, v in enumerate(c.vars):
-                for alpha in range(q):
-                    pos = i * q + alpha
-                    coeffs = {col(v, alpha): 1}
-                    coeffs.update((start + k, -u[pos]) for k, u in enumerate(V))
-                    rows.append((coeffs, coset.offset[pos]))
+            congruent(coset.lattice, [(1, v, i * q) for i, v in enumerate(c.vars)],
+                      coset.offset)
     matrix = tuple(tuple(sorted((j, a) for j, a in coeffs.items() if a))
                    for coeffs, _ in rows)
     rhs = tuple(r for _, r in rows)

@@ -179,10 +179,11 @@ def solve_integer(A, b, cols):
         # the columns whose count fell: those of the pivot row, and those
         # cancelled in a changed row
         fallen = set(row)
-        changed = list(holders[j])
-        for i in changed:
+        shorter = set()    # changed rows that lost length
+        for i in list(holders[j]):
             target = live[i]
             f = target[j]
+            before = len(target)
             for k, a in row.items():
                 v = target.get(k, 0) - f * a
                 if v:
@@ -198,14 +199,15 @@ def solve_integer(A, b, cols):
                 if rhs[i]:
                     return None
                 del live[i]
-        # a changed row's length may have moved, so any of its entries may
-        # be cheaper; any other row's length is as it was, and of its
-        # entries only those in a column whose count fell got cheaper
-        changed = {i for i in changed if i in live}
-        for i in changed:
+            elif len(target) < before:
+                shorter.add(i)
+        # an entry got cheaper only where its row got shorter or its
+        # column's count fell; an entry that changed, and so may have become
+        # +-1, lies in a column of the pivot row, which is among the fallen
+        for i in shorter:
             push(i, live[i])
         for k in fallen:
-            for i in holders[k] - changed:
+            for i in holders[k] - shorter:
                 push(i, (k,))
     core_rows = sorted(live)
     core_cols = sorted({j for i in core_rows for j in live[i]})
@@ -284,6 +286,40 @@ class Lattice:
     def pivots(self):
         """The pivot column of each basis row, found once per lattice."""
         return tuple(_pivot_col(row) for row in self.basis)
+
+    @cached_property
+    def congruences(self):
+        """The membership test of the lattice as pairs (u, d): w lies in L
+        iff u.w = 0 (mod d) for every pair, where d = 0 asks u.w = 0.
+        Found once per lattice, from one Smith form.
+
+        Proof.  Let B be the k x n basis, with B = U*S*V by
+        :func:`smith_normal_form`.  The basis rows are independent, so
+        d_0, ..., d_k-1 are non-zero.  w lies in L iff w = y*B for some
+        integer row y, that is iff w*V^-1 = (y*U)*S; as y*U runs over all of
+        Z^k, this says (w*V^-1)_j is a multiple of d_j for j < k and is 0
+        for j >= k.  So u_j is column j of V^-1, with d_j for j < k and 0
+        past k.  A pair with d = 1 asks nothing and is left out.  For d > 1
+        the entries of u matter only mod d, and they are taken in
+        (-d/2, d/2]; intro_M's block gives ((1, 1, 1), 3).  The zero lattice
+        gives the n unit equalities.
+        """
+        n, k = self.ambient_dim, len(self.basis)
+        if not k:
+            return tuple((tuple(int(i == j) for i in range(n)), 0)
+                         for j in range(n))
+        _, S, V = smith_normal_form(self.basis)
+        inverse = hermite_normal_form(V)[1]    # the Hermite form of V is I
+        out = []
+        for j in range(n):
+            d = S[j][j] if j < k else 0
+            if d == 1:
+                continue
+            u = [row[j] for row in inverse]
+            if d:
+                u = [(a + (d - 1) // 2) % d - (d - 1) // 2 for a in u]
+            out.append((tuple(u), d))
+        return tuple(out)
 
 
 def lattice_from_generators(ambient_dim, generators):

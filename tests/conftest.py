@@ -1,3 +1,4 @@
+import os
 import signal
 from contextlib import contextmanager
 from itertools import product
@@ -5,7 +6,14 @@ from itertools import product
 import pytest
 
 from monoidpcsp.core import FiniteMonoid, generator_walk
-from monoidpcsp.model import Product, Relation, make_instance, make_nf_template
+from monoidpcsp.model import (
+    Identity,
+    Product,
+    Relation,
+    make_instance,
+    make_nf_template,
+    parse_template,
+)
 from monoidpcsp.polymorph import minimal_generating_set
 from monoidpcsp.regularize import integers_nf
 from monoidpcsp.zlinalg import solve_integer
@@ -59,6 +67,34 @@ def intro_instance():
         Product(0, 1, 4), Product(2, 3, 4),
         Relation((0, 1, 2)), Relation((2, 3, 0)), Relation((2, 3, 1)),
     ])
+
+
+def planted_intro_instance(rng, n):
+    """A satisfiable instance over intro_M.nf (integers, relation
+    x + y + z = 1 mod 3) on n variables, with its constraints listed in a
+    shuffled order."""
+    values = [rng.randint(-4, 4) for _ in range(n)]
+    pins = rng.sample(range(n), 2)
+    for x in pins:
+        values[x] = 0
+    cs = [Identity(x) for x in pins]
+    while len(cs) < 2 + n:
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if values[x] + values[y] == values[z]:
+            cs.append(Product(x, y, z))
+    while len(cs) < 2 + n + n // 2:
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if (values[x] + values[y] + values[z]) % 3 == 1:
+            cs.append(Relation((x, y, z)))
+    rng.shuffle(cs)
+    return make_instance(n, cs)
+
+
+def intro_m_template():
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "src", "monoidpcsp", "data", "intro_M.nf")
+    with open(path, encoding="utf-8") as fh:
+        return parse_template(fh.read())
 
 
 @pytest.fixture

@@ -1,4 +1,3 @@
-import os
 import random
 from itertools import product
 
@@ -23,8 +22,8 @@ from monoidpcsp.model import (
     make_instance,
     make_nf_template,
     oracle_solve,
-    parse_template,
 )
+from monoidpcsp.regularize import integers_nf
 from monoidpcsp.solver import (
     build_sigma,
     finite_template_to_nf,
@@ -33,7 +32,15 @@ from monoidpcsp.solver import (
     solve_tractable,
 )
 from monoidpcsp.sweep import commutative_regular_sweep
-from conftest import clifford, greedy_set_is_larger, intro_instance, intro_nf_template
+from monoidpcsp.zlinalg import solve_integer
+from conftest import (
+    clifford,
+    greedy_set_is_larger,
+    intro_instance,
+    intro_m_template,
+    intro_nf_template,
+    planted_intro_instance,
+)
 
 
 def test_minimal_homomorphism_is_pointwise_least():
@@ -206,34 +213,6 @@ def test_a_clifford_template_with_a_large_bottom_group_solves_at_once(deadline):
         assert check_assignment(T, I, assignment)
 
 
-def planted_intro_instance(rng, n):
-    """A satisfiable instance over intro_M.nf (integers, relation
-    x + y + z = 1 mod 3) on n variables, with its constraints listed in a
-    shuffled order."""
-    values = [rng.randint(-4, 4) for _ in range(n)]
-    pins = rng.sample(range(n), 2)
-    for x in pins:
-        values[x] = 0
-    cs = [Identity(x) for x in pins]
-    while len(cs) < 2 + n:
-        x, y, z = (rng.randrange(n) for _ in range(3))
-        if values[x] + values[y] == values[z]:
-            cs.append(Product(x, y, z))
-    while len(cs) < 2 + n + n // 2:
-        x, y, z = (rng.randrange(n) for _ in range(3))
-        if (values[x] + values[y] + values[z]) % 3 == 1:
-            cs.append(Relation((x, y, z)))
-    rng.shuffle(cs)
-    return make_instance(n, cs)
-
-
-def intro_m_template():
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "src", "monoidpcsp", "data", "intro_M.nf")
-    with open(path, encoding="utf-8") as fh:
-        return parse_template(fh.read())
-
-
 def test_shuffled_planted_instances_solve(deadline):
     T = intro_m_template()
     rng = random.Random(29)
@@ -284,6 +263,126 @@ def test_relation_d_tuples_under_the_least_hom_name_blocks():
                     checked[T.carrier.semilattice.size == 1] += 1
             build_sigma(T, I, h)
     assert checked[False] > 0 and checked[True] > 0
+
+
+def generator_sigma(T, I, h):
+    """Sigma written with one fresh multiplier per generator of each block
+    lattice and each xi lattice: a REL tuple is offset + sum m_k * b_k
+    coordinate by coordinate, a MUL residual is sum m_k * w_k.  Returns
+    (matrix, rhs, cols) as solve_integer reads them."""
+    NF = T.carrier
+    q = NF.num_coords
+    rows, cols = [], I.var_count * q
+    blocks = {b.d_tuple: b.coset for b in T.relation}
+    for x in range(I.var_count):
+        rows += [({x * q + a: 1}, 0) for a in range(q) if a not in NF.lam[h[x]]]
+    for c in I.constraints:
+        if isinstance(c, Identity):
+            rows += [({c.x * q + a: 1}, 0) for a in range(q)]
+            continue
+        if isinstance(c, Product):
+            basis, offset = NF.xi[h[c.z]].basis, [0] * q
+            slots = [(a, [(c.x, 1), (c.y, 1), (c.z, -1)]) for a in range(q)]
+        else:
+            coset = blocks[tuple(h[v] for v in c.vars)]
+            basis, offset = coset.lattice.basis, coset.offset
+            slots = [(a, [(v, 1)]) for v in c.vars for a in range(q)]
+        for pos, (a, terms) in enumerate(slots):
+            coeffs = {cols + k: -b[pos] for k, b in enumerate(basis)}
+            for v, sign in terms:
+                coeffs[v * q + a] = coeffs.get(v * q + a, 0) + sign
+            rows.append((coeffs, offset[pos]))
+        cols += len(basis)
+    matrix = [tuple(sorted((j, a) for j, a in coeffs.items() if a)) for coeffs, _ in rows]
+    return matrix, [r for _, r in rows], cols
+
+
+def with_intro_gadget(I):
+    """I with intro.inst on fresh variables: unsatisfiable over intro_M."""
+    n, G = I.var_count, intro_instance()
+    shifted = [Product(c.x + n, c.y + n, c.z + n) if isinstance(c, Product)
+               else Relation(tuple(v + n for v in c.vars)) for c in G.constraints]
+    return make_instance(n + G.var_count, list(I.constraints) + shifted)
+
+
+def planted_instance(rng, T, n):
+    """A satisfiable instance over the finite template T on n variables: a
+    hidden assignment of tuples of T's relation and two identities, and
+    REL, MUL and ID constraints that it meets, in a shuffled order."""
+    M, tuples = T.carrier, sorted(T.relation)
+    values = [a for _ in range(n) for a in rng.choice(tuples)][:n - 2]
+    values += [M.identity, M.identity]
+    by_value = {}
+    for x, a in enumerate(values):
+        by_value.setdefault(a, []).append(x)
+    cs = [Identity(n - 2), Identity(n - 1)]
+    while len(cs) < n:
+        x, y = rng.randrange(n), rng.randrange(n)
+        zs = by_value.get(M.mul(values[x], values[y]))
+        if zs:
+            cs.append(Product(x, y, rng.choice(zs)))
+    present = [t for t in tuples if all(a in by_value for a in t)]
+    cs += [Relation(tuple(rng.choice(by_value[a]) for a in rng.choice(present)))
+           for _ in range(n // 2)]
+    rng.shuffle(cs)
+    return make_instance(n, cs)
+
+
+def test_congruence_sigma_agrees_with_the_generator_sigma():
+    """build_sigma and the generator-multiplier Sigma are solvable on the
+    same instances: planted and shuffled intro_M instances, the same with
+    intro.inst on fresh variables, random instances over an integer block
+    of rank 2 in Z^3 (x + y + z = 1 and x + y = 0 mod 3, so one congruence
+    is an equality), and planted and random instances over coset templates
+    of the commutative completely regular monoids of
+    monoid_sweep(4, unique=True)."""
+    rng = random.Random(59)
+    intro = intro_m_template()
+    planted = [planted_intro_instance(rng, rng.randint(6, 30)) for _ in range(12)]
+    cases = [(intro, I) for I in planted]
+    cases += [(intro, with_intro_gadget(I)) for I in planted[:6]]
+    rank_two = make_nf_template(integers_nf(), 3, [
+        ((0, 0, 0), [0, 0, 1], [[1, -1, 0], [0, 3, -3]])])
+    cases += [(rank_two, I) for I in seeded_instances(rng, 40, 5, 3)]
+    for M in commutative_regular_sweep(4, unique=True):
+        for arity in (1, 2):
+            seeds = [tuple(rng.randrange(M.size) for _ in range(arity))
+                     for _ in range(2)]
+            T = make_finite_template(
+                M, arity, coset_closure(CartesianPower(M, arity), seeds).members)
+            TN, _ = finite_template_to_nf(T)
+            instances = [planted_instance(rng, T, rng.randint(4, 12)) for _ in range(3)]
+            cases += [(TN, I) for I in instances + seeded_instances(rng, 6, 4, arity)]
+    verdicts = {True: 0, False: 0}
+    for T, I in cases:
+        h = minimal_homomorphism(projected_semilattice_template(T), I)
+        if h is None:
+            continue
+        system = build_sigma(T, I, h)
+        cols = I.var_count * system.num_coords + system.num_multipliers
+        sat = solve_integer(system.matrix, system.rhs, cols) is not None
+        assert sat == (solve_integer(*generator_sigma(T, I, h)) is not None), I
+        verdicts[sat] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 40, verdicts
+
+
+def test_an_intro_m_relation_is_one_row_with_one_multiplier():
+    """Over intro_M a REL is the one row x + y + z - 3m = 1, where a
+    repeated variable adds up its coefficients; a MUL is the one row
+    x + y - z = 0 and an ID the one row x = 0, with no multiplier."""
+    T = intro_m_template()
+    I = make_instance(3, [Relation((0, 1, 2)), Relation((0, 0, 2))])
+    system = build_sigma(T, I, [0, 0, 0])
+    assert system.num_multipliers == 2
+    assert system.matrix == (((0, 1), (1, 1), (2, 1), (3, -3)),
+                             ((0, 2), (2, 1), (4, -3)))
+    assert system.rhs == (1, 1)
+    I = planted_intro_instance(random.Random(61), 30)
+    h = minimal_homomorphism(projected_semilattice_template(T), I)
+    system = build_sigma(T, I, h)
+    rels = sum(isinstance(c, Relation) for c in I.constraints)
+    assert system.num_multipliers == rels
+    assert len(system.matrix) == len(I.constraints)
 
 
 def test_free_variables_cost_no_kernel(deadline):

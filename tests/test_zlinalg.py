@@ -17,12 +17,14 @@ from monoidpcsp.zlinalg import (
     smith_normal_form,
     solve_integer,
 )
+from monoidpcsp.regularize import to_normal_form
 from monoidpcsp.solver import (
     build_sigma,
     minimal_homomorphism,
     projected_semilattice_template,
 )
-from test_solver import intro_m_template, planted_intro_instance
+from monoidpcsp.sweep import commutative_regular_sweep
+from conftest import intro_m_template, planted_intro_instance
 
 
 def mat_mul(A, B):
@@ -386,3 +388,91 @@ def test_coset_member():
     C = LatticeCoset((1, 0), L)
     assert coset_member([3, 2], C)
     assert not coset_member([2, 2], C)
+
+
+def congruence_member(w, congruences):
+    """Membership read off (u, d) pairs: u.w = 0 (mod d), or u.w = 0 for
+    d = 0."""
+    for u, d in congruences:
+        r = sum(a * b for a, b in zip(u, w))
+        if (r % d if d else r):
+            return False
+    return True
+
+
+def congruence_lattices():
+    """The zero lattice, full-rank lattices of index > 1, rank-deficient
+    ones, intro_M's block, and the xi lattices of the commutative
+    completely regular monoids of monoid_sweep(4, unique=True)."""
+    rng = random.Random(43)
+    out = [lattice_from_generators(n, []) for n in (1, 3)]
+    out.append(lattice_from_generators(2, [[2, 0], [0, 3]]))
+    while len(out) < 12:
+        n = rng.randint(1, 4)
+        L = lattice_from_generators(n, random_matrix(rng, n, n, -4, 4))
+        if len(L.basis) == n and abs(det([list(r) for r in L.basis])) > 1:
+            out.append(L)
+    while len(out) < 24:
+        n = rng.randint(2, 4)
+        L = lattice_from_generators(n, random_matrix(rng, rng.randint(1, n - 1), n, -4, 4))
+        if 0 < len(L.basis) < n:
+            out.append(L)
+    out.append(intro_block_lattice())
+    for M in commutative_regular_sweep(4, unique=True):
+        out += to_normal_form(M).nf.xi
+    return out
+
+
+def intro_block_lattice():
+    (block,) = intro_m_template().relation
+    return block.coset.lattice
+
+
+def disagreements(L, congruences, rng):
+    """Seeded random vectors, planted members and members moved by a unit
+    vector on which the congruences and lattice_member disagree."""
+    n = L.ambient_dim
+    vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(150)]
+    for _ in range(40):
+        member = [sum(rng.randint(-3, 3) * row[j] for row in L.basis)
+                  for j in range(n)]
+        vectors.append(member)
+        vectors += [[a + (i == j) for i, a in enumerate(member)] for j in range(n)]
+    return [w for w in vectors
+            if congruence_member(w, congruences) != lattice_member(w, L)]
+
+
+def test_congruences_decide_lattice_membership():
+    rng = random.Random(47)
+    lattices = congruence_lattices()
+    for L in lattices:
+        k, n = len(L.basis), L.ambient_dim
+        assert all(d != 1 and d >= 0 for _, d in L.congruences)
+        assert sum(d == 0 for _, d in L.congruences) == n - k
+        assert not disagreements(L, L.congruences, rng), L
+    assert lattice_from_generators(3, []).congruences == \
+        (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0))
+    assert lattice_from_generators(2, [[2, 0], [0, 3]]).congruences[0][1] == 6
+    # intro_M's block: x + y + z = 0 (mod 3), its entries taken in (-d/2, d/2]
+    assert intro_block_lattice().congruences == (((1, 1, 1), 3),)
+    # among them are rank-deficient lattices with a divisor > 1
+    assert any(0 < len(L.basis) < L.ambient_dim and any(d > 1 for _, d in L.congruences)
+               for L in lattices)
+
+
+def test_dropping_a_divisor_fails_the_membership_check():
+    """A mutated copy of each congruence list with one pair (u, d) left out,
+    the 3 of intro_M's block among them, accepts a non-member: a w with u.w
+    = 1 (mod d) that meets the other pairs, found by solve_integer."""
+    mutants = 0
+    for L in congruence_lattices():
+        n, pairs = L.ambient_dim, L.congruences
+        for i in range(len(pairs)):
+            rows = [tuple((j, a) for j, a in enumerate(u) if a)
+                    + (((n + k, -d),) if d else ()) for k, (u, d) in enumerate(pairs)]
+            x0, _ = solve_integer(rows, [int(k == i) for k in range(len(pairs))],
+                                  n + len(pairs))
+            mutant = pairs[:i] + pairs[i + 1:]
+            assert congruence_member(x0[:n], mutant) and not lattice_member(x0[:n], L)
+            mutants += 1
+    assert mutants > 40
