@@ -81,10 +81,10 @@ class SigmaSystem:
     """Linear system over Z whose solvability decides the instance above a
     fixed minimal homomorphism h.
 
-    Columns 0 .. var_count*q - 1 hold the coordinate vectors v^x; further
-    columns hold fresh multipliers, one per divisor d > 1 of a lattice's
-    congruences.  A row is a tuple of non-zero (column, coefficient) pairs
-    by ascending column.
+    Column x*q + alpha holds coordinate alpha of v^x, and is in a row only
+    for alpha in lam(h[x]); further columns hold fresh multipliers, one per
+    divisor d > 1 of a lattice's congruences.  A row is a tuple of non-zero
+    (column, coefficient) pairs by ascending column.
     """
 
     var_count: int
@@ -104,6 +104,12 @@ def build_sigma(T, I, h):
     u.w - d*m = u.offset per pair (u, d), with a fresh multiplier m only
     for d > 1.  Over intro_M a REL is the one row x + y + z - 3m = 1.
 
+    v^x is read on lam(h[x]) only, where a normal-form vector over h[x]
+    lives; a column off it is in no row, so solve_integer leaves it 0.  A
+    row with no coefficient and right-hand side 0 is not written: over a
+    finite carrier every d = 0 congruence gives one, as block and xi
+    lattices have full rank on their support.
+
     Every relation constraint's d-tuple under h names a block: h is returned
     only after check_assignment(TI, I, h), and the relation of TI is exactly
     the blocks' d-tuples.
@@ -111,17 +117,14 @@ def build_sigma(T, I, h):
     NF = T.carrier
     q = NF.num_coords
     base = I.var_count * q
-    rows = []          # (dict col -> coeff, rhs); zeros dropped below
+    rows = []          # (sorted non-zero (col, coeff) pairs, rhs)
     multipliers = 0
     blocks = {b.d_tuple: b.coset for b in T.relation}
 
-    def col(x, alpha):
-        return x * q + alpha
-
-    for x in range(I.var_count):
-        for alpha in range(q):
-            if alpha not in NF.lam[h[x]]:
-                rows.append(({col(x, alpha): 1}, 0))
+    def add(coeffs, rhs):
+        row = tuple(sorted((j, a) for j, a in coeffs.items() if a))
+        if row or rhs:
+            rows.append((row, rhs))
 
     def congruent(lattice, terms, rhs):
         # w is the sum of the terms (sign, x, start): sign * v^x, read
@@ -130,29 +133,27 @@ def build_sigma(T, I, h):
         for u, d in lattice.congruences:
             coeffs = {}
             for sign, x, start in terms:
-                for alpha in range(q):
+                for alpha in NF.lam[h[x]]:
                     if a := u[start + alpha]:
-                        cc = col(x, alpha)
+                        cc = x * q + alpha
                         coeffs[cc] = coeffs.get(cc, 0) + sign * a
             if d:
                 coeffs[base + multipliers] = -d
                 multipliers += 1
-            rows.append((coeffs, sum(a * b for a, b in zip(u, rhs))))
+            add(coeffs, sum(a * b for a, b in zip(u, rhs)))
 
     for c in I.constraints:
         if isinstance(c, Identity):
-            for alpha in range(q):
-                rows.append(({col(c.x, alpha): 1}, 0))
+            for alpha in NF.lam[h[c.x]]:
+                add({c.x * q + alpha: 1}, 0)
         elif isinstance(c, Product):
             congruent(NF.xi[h[c.z]], ((1, c.x, 0), (1, c.y, 0), (-1, c.z, 0)), ())
         else:
             coset = blocks[tuple(h[v] for v in c.vars)]
             congruent(coset.lattice, [(1, v, i * q) for i, v in enumerate(c.vars)],
                       coset.offset)
-    matrix = tuple(tuple(sorted((j, a) for j, a in coeffs.items() if a))
-                   for coeffs, _ in rows)
-    rhs = tuple(r for _, r in rows)
-    return SigmaSystem(I.var_count, q, multipliers, matrix, rhs)
+    return SigmaSystem(I.var_count, q, multipliers,
+                       tuple(r for r, _ in rows), tuple(b for _, b in rows))
 
 
 def projected_semilattice_template(T):

@@ -81,16 +81,15 @@ def _transpose(A):
 
 
 def smith_normal_form(A):
-    """Return (U, S, V) with U, V unimodular, S diagonal with d1 | d2 | ...,
-    and A = U*S*V exactly.
+    """Return (P, S, Q) with P, Q unimodular, S diagonal with d1 | d2 | ...,
+    and P*A*Q = S exactly.
 
     Row and column Hermite forms alternate, keeping P*A*Q = S, until S is
     diagonal (as in Kannan-Bachem): a row step is the Hermite form of
     [S | P], a column step that of [S^T | Q^T].  A pair di, dj with di not
     dividing dj is merged by adding column j to column i of S and Q, after
-    which the row form replaces di by gcd(di, dj).  The Hermite form of a
-    unimodular matrix is I, so its transform is the inverse: U = P^-1 and
-    V = Q^-1.
+    which the row form replaces di by gcd(di, dj).  The transforms are
+    returned as they are kept, with no inversion.
     """
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -104,8 +103,7 @@ def smith_normal_form(A):
             pair = next(((i, j) for i, d in enumerate(diag) if d
                          for j in range(i + 1, len(diag)) if diag[j] % d), None)
             if pair is None:
-                return (hermite_normal_form(P)[1], _transpose(T),
-                        hermite_normal_form(_transpose(Qt))[1])
+                return P, _transpose(T), _transpose(Qt)
             i, j = pair
             for M in (T, Qt):
                 M[i] = [a + b for a, b in zip(M[i], M[j])]
@@ -129,7 +127,7 @@ def solve_integer(A, b, cols):
     the later columns are known, so the rows left (the core) are solved by
     :func:`_solve_dense` on the columns they hold, the columns in no row are
     free, and x0 and the kernel are lifted back through the pivots in
-    reverse.
+    reverse.  A column in no row of A is 0 in x0.
     """
     if len(b) != len(A):
         raise DimensionMismatch("right-hand side length mismatch")
@@ -293,29 +291,28 @@ class Lattice:
         iff u.w = 0 (mod d) for every pair, where d = 0 asks u.w = 0.
         Found once per lattice, from one Smith form.
 
-        Proof.  Let B be the k x n basis, with B = U*S*V by
+        Proof.  Let B be the k x n basis, with P*B*Q = S by
         :func:`smith_normal_form`.  The basis rows are independent, so
         d_0, ..., d_k-1 are non-zero.  w lies in L iff w = y*B for some
-        integer row y, that is iff w*V^-1 = (y*U)*S; as y*U runs over all of
-        Z^k, this says (w*V^-1)_j is a multiple of d_j for j < k and is 0
-        for j >= k.  So u_j is column j of V^-1, with d_j for j < k and 0
-        past k.  A pair with d = 1 asks nothing and is left out.  For d > 1
-        the entries of u matter only mod d, and they are taken in
-        (-d/2, d/2]; intro_M's block gives ((1, 1, 1), 3).  The zero lattice
-        gives the n unit equalities.
+        integer row y, that is iff w*Q = (y*P^-1)*S; as y*P^-1 runs over all
+        of Z^k, this says (w*Q)_j is a multiple of d_j for j < k and is 0
+        for j >= k.  So u_j is column j of Q, with d_j for j < k and 0 past
+        k.  A pair with d = 1 asks nothing and is left out.  For d > 1 the
+        entries of u matter only mod d, and they are taken in (-d/2, d/2];
+        intro_M's block gives ((1, 1, 1), 3).  The zero lattice gives the n
+        unit equalities.
         """
         n, k = self.ambient_dim, len(self.basis)
         if not k:
             return tuple((tuple(int(i == j) for i in range(n)), 0)
                          for j in range(n))
-        _, S, V = smith_normal_form(self.basis)
-        inverse = hermite_normal_form(V)[1]    # the Hermite form of V is I
+        _, S, Q = smith_normal_form(self.basis)
         out = []
         for j in range(n):
             d = S[j][j] if j < k else 0
             if d == 1:
                 continue
-            u = [row[j] for row in inverse]
+            u = [row[j] for row in Q]
             if d:
                 u = [(a + (d - 1) // 2) % d - (d - 1) // 2 for a in u]
             out.append((tuple(u), d))

@@ -317,8 +317,13 @@ def test_acceptance_8_integer_linear_algebra(capsys, solve_matrix):
         if mat_mul(U, A) != [list(r) for r in H]:
             failures += 1
         P, S, Q = smith_normal_form(A)
-        if mat_mul(mat_mul(P, [list(r) for r in S]), Q) != A:
+        if mat_mul(mat_mul(P, A), Q) != [list(r) for r in S]:
             failures += 1
+        # a square integer matrix is unimodular iff its Hermite form is I
+        for M in (P, Q):
+            if hermite_normal_form(M)[0] != [[int(i == j) for j in range(len(M))]
+                                             for i in range(len(M))]:
+                failures += 1
         diag = [S[i][i] for i in range(min(rows, cols))]
         for a, b in zip(diag, diag[1:]):
             if (a and b % a != 0) or (not a and b):

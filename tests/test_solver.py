@@ -23,7 +23,7 @@ from monoidpcsp.model import (
     make_nf_template,
     oracle_solve,
 )
-from monoidpcsp.regularize import integers_nf
+from monoidpcsp.regularize import integers_nf, nf_element
 from monoidpcsp.solver import (
     build_sigma,
     finite_template_to_nf,
@@ -335,7 +335,9 @@ def test_congruence_sigma_agrees_with_the_generator_sigma():
     of rank 2 in Z^3 (x + y + z = 1 and x + y = 0 mod 3, so one congruence
     is an equality), and planted and random instances over coset templates
     of the commutative completely regular monoids of
-    monoid_sweep(4, unique=True)."""
+    monoid_sweep(4, unique=True).  No row of build_sigma is empty, every
+    coefficient of v^x lies on lam(h[x]), and every x0 decodes through
+    nf_element."""
     rng = random.Random(59)
     intro = intro_m_template()
     planted = [planted_intro_instance(rng, rng.randint(6, 30)) for _ in range(12)]
@@ -359,9 +361,17 @@ def test_congruence_sigma_agrees_with_the_generator_sigma():
         if h is None:
             continue
         system = build_sigma(T, I, h)
-        cols = I.var_count * system.num_coords + system.num_multipliers
-        sat = solve_integer(system.matrix, system.rhs, cols) is not None
+        q, NF = system.num_coords, T.carrier
+        base = I.var_count * q
+        assert all(system.matrix), I
+        assert all(j % q in NF.lam[h[j // q]]
+                   for row in system.matrix for j, _ in row if j < base), I
+        solved = solve_integer(system.matrix, system.rhs, base + system.num_multipliers)
+        sat = solved is not None
         assert sat == (solve_integer(*generator_sigma(T, I, h)) is not None), I
+        if sat:
+            for x in range(I.var_count):
+                nf_element(NF, h[x], solved[0][x * q:(x + 1) * q])
         verdicts[sat] += 1
     assert verdicts[True] > 300 and verdicts[False] > 40, verdicts
 

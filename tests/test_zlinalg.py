@@ -7,6 +7,7 @@ import pytest
 from monoidpcsp import zlinalg
 from monoidpcsp.errors import DimensionMismatch
 from monoidpcsp.zlinalg import (
+    Lattice,
     LatticeCoset,
     _solve_dense,
     coset_member,
@@ -78,9 +79,9 @@ def test_snf_reconstruction_and_divisibility(deadline):
     for A in inputs:
         rows, cols = len(A), len(A[0])
         with deadline(10):
-            U, S, V = smith_normal_form(A)
-        assert mat_mul(mat_mul(U, [list(r) for r in S]), V) == A
-        assert abs(det(U)) == 1 and abs(det(V)) == 1
+            P, S, Q = smith_normal_form(A)
+        assert mat_mul(mat_mul(P, A), Q) == [list(r) for r in S]
+        assert abs(det(P)) == 1 and abs(det(Q)) == 1
         diag = [S[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag)):
             assert diag[i] >= 0
@@ -293,7 +294,8 @@ def test_presolve_pivots_in_exact_markowitz_order():
     """solve_integer gives the x0 of the plain elimination, on seeded sparse
     systems and on the Sigma of shuffled planted instances over intro_M.nf,
     so its heap takes the pivots in exactly the least (cost, row, column)
-    order."""
+    order.  The same systems with an empty column beside each column give
+    the same x0 there and 0 in every column in no row."""
     rng = random.Random(37)
     systems = []
     for _ in range(200):
@@ -315,8 +317,13 @@ def test_presolve_pivots_in_exact_markowitz_order():
     for A, b, cols in systems:
         got, ref = solve_integer(A, b, cols), markowitz_reference(A, b, cols)
         assert (got is None) == (ref is None), (A, b)
+        # column j moved to 2j: every odd column is in no row
+        wide = solve_integer([tuple((2 * j, a) for j, a in row) for row in A], b,
+                             2 * cols + 1)
+        assert (wide is None) == (got is None), (A, b)
         if got is not None:
             assert got[0] == ref, (A, b)
+            assert wide[0] == [a for x in ref for a in (x, 0)] + [0], (A, b)
     assert all(solve_integer(*s) is not None for s in systems[-2:])
 
 
@@ -458,6 +465,25 @@ def test_congruences_decide_lattice_membership():
     # among them are rank-deficient lattices with a divisor > 1
     assert any(0 < len(L.basis) < L.ambient_dim and any(d > 1 for _, d in L.congruences)
                for L in lattices)
+
+
+def test_congruences_read_the_kept_smith_transform(monkeypatch):
+    """Lattice.congruences takes u from the column transform Q that
+    smith_normal_form keeps, with no Hermite form of its own and none to
+    invert a transform: on intro_M's block, whose row and column Hermite
+    forms are already diagonal, that is two eliminations."""
+    calls = []
+    echelon = zlinalg._echelon
+
+    def spy(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
+
+    monkeypatch.setattr(zlinalg, "_echelon", spy)
+    L = intro_block_lattice()
+    calls.clear()
+    assert Lattice(L.ambient_dim, L.basis).congruences == (((1, 1, 1), 3),)
+    assert len(calls) == 2
 
 
 def test_dropping_a_divisor_fails_the_membership_check():
