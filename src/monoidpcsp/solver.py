@@ -17,7 +17,7 @@ from .model import (
 )
 from .record import record
 from .regularize import nf_element, to_normal_form
-from .zlinalg import solve_integer
+from .zlinalg import solve_congruences
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +83,9 @@ class SigmaSystem:
 
     Column x*q + alpha holds coordinate alpha of v^x, and is in a row only
     for alpha in lam(h[x]); further columns hold fresh multipliers, one per
-    divisor d > 1 of a lattice's congruences.  A row is a tuple of non-zero
-    (column, coefficient) pairs by ascending column.
+    divisor d > 1 of a lattice's congruences, each in one row only, where
+    it is the last entry.  A row is a tuple of non-zero (column,
+    coefficient) pairs by ascending column.
     """
 
     var_count: int
@@ -105,7 +106,7 @@ def build_sigma(T, I, h):
     for d > 1.  Over intro_M a REL is the one row x + y + z - 3m = 1.
 
     v^x is read on lam(h[x]) only, where a normal-form vector over h[x]
-    lives; a column off it is in no row, so solve_integer leaves it 0.  A
+    lives; a column off it is in no row, so the solve leaves it 0.  A
     row with no coefficient and right-hand side 0 is not written: over a
     finite carrier every d = 0 congruence gives one, as block and xi
     lattices have full rank on their support.
@@ -171,9 +172,11 @@ def solve_tractable(T, I):
     """Decide and solve an instance over a coset-relation template.
 
     A finite template is solved over its normal form
-    (:func:`finite_template_to_nf`) and the answer decoded.  Returns a
-    satisfying assignment over T's carrier (NFElements for a normal-form
-    template) or None.
+    (:func:`finite_template_to_nf`) and the answer decoded.  On both
+    carrier kinds Sigma is solved by :func:`zlinalg.solve_congruences`:
+    its multiplier rows as congruences over Z/D, the other rows over Z.
+    Returns a satisfying assignment over T's carrier (NFElements for a
+    normal-form template) or None.
     """
     check_arities(T, I)
     NT, iso = (T, None) if is_nf_template(T) else finite_template_to_nf(T)
@@ -184,11 +187,10 @@ def solve_tractable(T, I):
         return None
     system = build_sigma(NT, I, h)
     q = NF.num_coords
-    cols = I.var_count * q + system.num_multipliers
-    solved = solve_integer(system.matrix, system.rhs, cols)
-    if solved is None:
+    base = I.var_count * q
+    x0 = solve_congruences(system.matrix, system.rhs, base)
+    if x0 is None:
         return None
-    x0, _ = solved
     assignment = [nf_element(NF, h[x], x0[x * q:(x + 1) * q])
                   for x in range(I.var_count)]
     if iso is not None:

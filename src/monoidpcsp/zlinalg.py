@@ -8,7 +8,7 @@ coefficient growth is handled by arbitrary precision automatically.
 
 import heapq
 from functools import cached_property
-from itertools import chain
+from math import gcd, lcm
 
 from .errors import DimensionMismatch
 from .record import record
@@ -111,28 +111,23 @@ def smith_normal_form(A):
         T, Qt = _hermite_with(_transpose(S), Qt)
 
 
-def solve_integer(A, b, cols):
-    """Solve A*x = b over the integers, x in Z^cols.
-
-    A row of A is (column, coefficient) pairs, as in SigmaSystem.  Returns
-    None when unsolvable, otherwise (x0, kernel) where A*x0 = b and kernel
-    is an iterator over a basis of {x : A*x = 0}.  Each basis vector is
-    lifted only when it is read, so a caller that drops the kernel pays
-    nothing for it; callers that keep it take ``list(kernel)``.
-
-    The equalities are first eliminated on sparse rows (Markowitz 1957):
+def _presolve(A, b, cols):
+    """Eliminate the equalities A*x = b on sparse rows (Markowitz 1957):
     repeatedly take a +-1 entry of least cost (row length - 1) *
     (column count - 1), make it +1, and subtract its row from every other
-    row holding its column.  A pivot row fixes its variable integrally once
-    the later columns are known, so the rows left (the core) are solved by
-    :func:`_solve_dense` on the columns they hold, the columns in no row are
-    free, and x0 and the kernel are lifted back through the pivots in
-    reverse.  A column in no row of A is 0 in x0.
+    row holding its column.  Returns None when a row is left as 0 = c with
+    c non-zero, otherwise (pivots, live, rhs): the pivots (column, row with
+    coefficient 1 there, right-hand side) in the order taken, the rows left
+    (the core) by index, and the right-hand sides by index.
+
+    A pivot row holds no column of an earlier pivot, so it fixes its
+    variable integrally once the later columns are known.  Only the columns
+    that lie in some row are counted.
     """
     if len(b) != len(A):
         raise DimensionMismatch("right-hand side length mismatch")
     live, rhs = {}, list(b)
-    holders = [set() for _ in range(cols)]   # column -> live rows holding it
+    holders = {}       # column -> live rows holding it
     for i, row in enumerate(A):
         entries = dict(row)
         if any(not 0 <= j < cols for j in entries):
@@ -140,7 +135,7 @@ def solve_integer(A, b, cols):
         if entries:
             live[i] = entries
             for j in entries:
-                holders[j].add(i)
+                holders.setdefault(j, set()).add(i)
         elif rhs[i]:
             return None
     heap = []
@@ -157,7 +152,7 @@ def solve_integer(A, b, cols):
     # that order.  A key popped off its entry's cost is pushed again at it.
     for i, row in live.items():
         push(i, row)
-    pivots = []        # (column, row with coefficient 1 there, rhs)
+    pivots = []
     while heap:
         cost, p, j = heapq.heappop(heap)
         row = live.get(p)
@@ -207,34 +202,265 @@ def solve_integer(A, b, cols):
         for k in fallen:
             for i in holders[k] - shorter:
                 push(i, (k,))
-    core_rows = sorted(live)
-    core_cols = sorted({j for i in core_rows for j in live[i]})
-    core_x0, core_kernel = [], []
-    if core_rows:
-        solved = _solve_dense([[live[i].get(j, 0) for j in core_cols]
-                               for i in core_rows], [rhs[i] for i in core_rows])
-        if solved is None:
+    return pivots, live, rhs
+
+
+def _solve_core(live, rhs):
+    """(columns, x0, kernel) of the core rows that :func:`_presolve` leaves,
+    solved by :func:`_solve_dense` on the columns they hold: the core's
+    integer solutions are x0 + K*Z^k on those columns.  None when there is
+    none."""
+    rows = sorted(live)
+    cols = sorted({j for i in rows for j in live[i]})
+    if not rows:
+        return cols, [], []
+    solved = _solve_dense([[live[i].get(j, 0) for j in cols] for i in rows],
+                          [rhs[i] for i in rows])
+    return None if solved is None else (cols, *solved)
+
+
+def _lift(pivots, x, homogeneous=False):
+    """x with each pivot column set, last pivot first, from the columns its
+    row holds; x holds the core and free columns."""
+    for j, row, c in reversed(pivots):
+        x[j] = (0 if homogeneous else c) - sum(a * x[k] for k, a in row.items())
+    return x
+
+
+def _on(cols, core_cols, values):
+    """x in Z^cols with the values on core_cols and 0 elsewhere."""
+    x = [0] * cols
+    for j, v in zip(core_cols, values):
+        x[j] = v
+    return x
+
+
+def solve_integer(A, b, cols):
+    """Solve A*x = b over the integers, x in Z^cols.
+
+    A row of A is (column, coefficient) pairs, as in SigmaSystem.  Returns
+    None when unsolvable, otherwise (x0, kernel) where A*x0 = b and kernel
+    is an iterator over a basis of {x : A*x = 0}.  Each basis vector is
+    lifted only when it is read, and the free columns are listed only then,
+    so a caller that drops the kernel pays nothing for it; callers that keep
+    it take ``list(kernel)``.
+
+    The rows are eliminated by :func:`_presolve` and the core it leaves is
+    solved by :func:`_solve_core`; the columns in no row are free, and x0
+    and the kernel are lifted back through the pivots in reverse.  A column
+    in no row of A is 0 in x0.
+    """
+    reduced = _presolve(A, b, cols)
+    if reduced is None:
+        return None
+    pivots, live, rhs = reduced
+    core = _solve_core(live, rhs)
+    if core is None:
+        return None
+    core_cols, core_x0, core_kernel = core
+
+    def kernel():
+        for v in core_kernel:
+            yield _lift(pivots, _on(cols, core_cols, v), True)
+        bound = set(core_cols).union(j for j, _, _ in pivots)
+        for j in range(cols):
+            if j not in bound:
+                yield _lift(pivots, [int(k == j) for k in range(cols)], True)
+
+    return _lift(pivots, _on(cols, core_cols, core_x0)), kernel()
+
+
+def solve_congruences(A, b, base):
+    """Solve A*x = b over the integers, where each column from base up is a
+    multiplier: it lies in one row only, as the last entry of a row by
+    ascending column.  This is Sigma's layout, with base = var_count *
+    num_coords.  Returns x in Z^base that multiplier values extend to a
+    solution, or None when there is none.
+
+    A row u.x - d*m = r with multiplier m is the congruence u.x = r
+    (mod d), and every other row is an equality.  The equalities are
+    solved over Z by :func:`_presolve` and :func:`_solve_core`; each
+    congruence is reduced through their pivots and core, scaled to the lcm
+    D of the moduli, and the result solved over Z/D by :func:`_solve_mod`,
+    which never factors D.  The solution is lifted over Z, with 0 for every
+    free value.
+
+    Proof that this is exact.
+    - A row whose multiplier m lies in no other row is a congruence: m is
+      constrained by that row alone, so x meets the row for some integer m
+      iff d divides u.x - r.
+    - Scaling by D/d moves each congruence to Z/D: d | u.x - r iff
+      D | (D/d)(u.x - r).  So the congruences ask a system over Z/D, whose
+      coefficients matter only mod D.
+    - The equality solutions are x0 + K*Z^k: each pivot column is fixed by
+      the columns after it, the core's solutions are x0 + K*Z^k on its
+      columns (an HNF transform), and the columns in no equality are free.
+      Substituting the pivot rows and x_core = x0 + K*s turns each
+      congruence into one over the free columns and s.  The map from
+      (free values, s) to x is integral and onto the equality solutions,
+      so any solution mod D of the reduced congruences, read as integers,
+      lifts to an integer x that meets every row, and there is one iff the
+      reduced congruences are solvable mod D.
+    - :func:`_solve_mod` is exact over Z/D: its row operations are
+      invertible, and the annihilator row it appends to a pivot row of
+      gcd h with D is that row's solvability condition.
+    """
+    if len(b) != len(A):
+        raise DimensionMismatch("right-hand side length mismatch")
+    eq_rows, eq_rhs, congruences, seen = [], [], [], set()
+    for row, r in zip(A, b):
+        if not row or row[-1][0] < base:
+            eq_rows.append(row)
+            eq_rhs.append(r)
+            continue
+        m, a = row[-1]
+        if m in seen or len(row) > 1 and row[-2][0] >= base:
+            raise DimensionMismatch("a multiplier column lies in more than one row")
+        if row[0][0] < 0:
+            raise DimensionMismatch("matrix column out of range")
+        seen.add(m)
+        congruences.append((row[:-1], r, abs(a)))
+    reduced = _presolve(eq_rows, eq_rhs, base)
+    if reduced is None:
+        return None
+    pivots, live, eq_rhs = reduced
+    core = _solve_core(live, eq_rhs)
+    if core is None:
+        return None
+    core_cols, core_x0, core_kernel = core
+    order = {j: t for t, (j, _, _) in enumerate(pivots)}
+    at_core = {j: t for t, j in enumerate(core_cols)}
+    D = lcm(*(d for _, _, d in congruences))
+    mod_rows, mod_rhs = [], []
+    for u, r, d in congruences:
+        row = {j: a % d for j, a in u}
+        # substitute the pivots that the row holds, first pivot first: a
+        # pivot row holds only later pivots
+        queue = [order[j] for j in row if j in order]
+        heapq.heapify(queue)
+        while queue:
+            j, prow, c = pivots[heapq.heappop(queue)]
+            f = row.pop(j, 0)
+            if not f:
+                continue
+            r -= f * c
+            for k, e in prow.items():
+                if k != j:
+                    v = (row.get(k, 0) - f * e) % d
+                    if not v:
+                        row.pop(k, None)
+                        continue
+                    if k not in row and k in order:
+                        heapq.heappush(queue, order[k])
+                    row[k] = v
+        # then x_core = x0 + K*s, with s_t in column base + t
+        on_core = [(at_core[j], row.pop(j)) for j in list(row) if j in at_core]
+        r -= sum(c * core_x0[i] for i, c in on_core)
+        for t, k in enumerate(core_kernel):
+            row[base + t] = sum(c * k[i] for i, c in on_core)
+        scale = D // d
+        mod_rows.append({j: scale * c for j, c in row.items()})
+        mod_rhs.append(scale * r)
+    y = _solve_mod(mod_rows, mod_rhs, D)
+    if y is None:
+        return None
+    s = [y.pop(base + t, 0) for t in range(len(core_kernel))]
+    x = _on(base, core_cols, [v + sum(e * k[i] for e, k in zip(s, core_kernel))
+                              for i, v in enumerate(core_x0)])
+    for j, v in y.items():
+        x[j] = v
+    return _lift(pivots, x)
+
+
+def _solve_mod(rows, rhs, N):
+    """Solve the rows (column -> coefficient dicts) against rhs over Z/N by
+    a sparse Howell-style elimination (Howell 1986; Storjohann-Mulders
+    1998) that never factors N.  Returns y as a dict of the columns that
+    are not 0, or None when there is none.
+
+    The column with the fewest rows left is cleared first, smallest column
+    first among equals.  Euclid steps clear it: the row with the least
+    entry there (the shortest such row among equals) is subtracted from
+    the others until only one row P holds the column.  These row
+    operations are invertible over Z/N.  P, with entry g and
+    h = gcd(g, N), fixes its column once the other columns are known iff
+    their part t of P's equation is 0 mod h; this is (N/h)*P, which has 0
+    in the column, so (N/h)*P is appended as a new row (it is 0 when
+    h = 1).  Back-substitution sets each free column to 0 and the pivot
+    column to (t/h) * (g/h)^-1 mod N/h.
+    """
+    live, rhs, holders = {}, list(rhs), {}
+
+    def add(i, row, r):
+        row = {j: a % N for j, a in row.items() if a % N}
+        rhs[i] = r % N
+        if not row:
+            return not rhs[i]
+        live[i] = row
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+        return True
+
+    for i, row in enumerate(rows):
+        if not add(i, row, rhs[i]):
             return None
-        core_x0, core_kernel = solved
-
-    def lift(x, homogeneous):
-        # x holds the core and free columns; each pivot row, last first,
-        # sets its own column
-        for j, row, c in reversed(pivots):
-            x[j] = (0 if homogeneous else c) - sum(a * x[k] for k, a in row.items())
-        return x
-
-    def on_core(values):
-        x = [0] * cols
-        for j, v in zip(core_cols, values):
-            x[j] = v
-        return x
-
-    pivot_cols = {j for j, _, _ in pivots}
-    free = [j for j in range(cols) if j not in pivot_cols and not holders[j]]
-    kernel = chain((lift(on_core(v), True) for v in core_kernel),
-                   (lift([int(k == j) for k in range(cols)], True) for j in free))
-    return lift(on_core(core_x0), False), kernel
+    heap = [(len(s), j) for j, s in holders.items()]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        count, c = heapq.heappop(heap)
+        rows_c = holders.get(c)
+        if not rows_c:
+            continue
+        if len(rows_c) != count:
+            heapq.heappush(heap, (len(rows_c), c))
+            continue
+        touched = set()
+        while True:
+            p = min(rows_c, key=lambda i: (live[i][c], len(live[i]), i))
+            if len(rows_c) == 1:
+                break
+            prow, g = live[p], live[p][c]
+            for i in [i for i in rows_c if i != p]:
+                target = live[i]
+                f = target[c] // g
+                for k, a in prow.items():
+                    v = (target.get(k, 0) - f * a) % N
+                    if v:
+                        if k not in target:
+                            holders[k].add(i)
+                        target[k] = v
+                    else:
+                        target.pop(k, None)
+                        holders[k].discard(i)
+                    touched.add(k)
+                rhs[i] = (rhs[i] - f * rhs[p]) % N
+                if not target:
+                    if rhs[i]:
+                        return None
+                    del live[i]
+        prow = live.pop(p)
+        for k in prow:
+            holders[k].discard(p)
+            touched.add(k)
+        g = prow[c]
+        h = gcd(g, N)
+        pivots.append((c, prow, rhs[p], g, h))
+        if h > 1:
+            i = len(rhs)
+            rhs.append(0)
+            if not add(i, {k: N // h * a for k, a in prow.items()}, N // h * rhs[p]):
+                return None
+        for k in touched:
+            if holders[k]:
+                heapq.heappush(heap, (len(holders[k]), k))
+    y = {}
+    for c, prow, r, g, h in reversed(pivots):
+        t = (r - sum(a * y.get(k, 0) for k, a in prow.items() if k != c)) % N
+        m = N // h
+        if v := (t // h) * pow(g // h, -1, m) % m:
+            y[c] = v
+    return y
 
 
 def _solve_dense(A, b):

@@ -32,7 +32,7 @@ from monoidpcsp.solver import (
     solve_tractable,
 )
 from monoidpcsp.sweep import commutative_regular_sweep
-from monoidpcsp.zlinalg import solve_integer
+from monoidpcsp.zlinalg import solve_congruences, solve_integer
 from conftest import (
     clifford,
     greedy_set_is_larger,
@@ -337,7 +337,12 @@ def test_congruence_sigma_agrees_with_the_generator_sigma():
     of the commutative completely regular monoids of
     monoid_sweep(4, unique=True).  No row of build_sigma is empty, every
     coefficient of v^x lies on lam(h[x]), and every x0 decodes through
-    nf_element."""
+    nf_element.
+
+    solve_congruences reads each multiplier column as lying in exactly one
+    row, as its last entry, with coefficient -d and d > 1; on every case it
+    agrees with solve_integer on the whole Sigma, and its answer meets each
+    equality row exactly and each congruence row mod its d."""
     rng = random.Random(59)
     intro = intro_m_template()
     planted = [planted_intro_instance(rng, rng.randint(6, 30)) for _ in range(12)]
@@ -366,12 +371,24 @@ def test_congruence_sigma_agrees_with_the_generator_sigma():
         assert all(system.matrix), I
         assert all(j % q in NF.lam[h[j // q]]
                    for row in system.matrix for j, _ in row if j < base), I
+        multipliers = [row[-1] for row in system.matrix if row[-1][0] >= base]
+        assert sorted(j for j, _ in multipliers) == \
+            list(range(base, base + system.num_multipliers)), I
+        assert all(a < -1 for _, a in multipliers), I
+        assert all(j < base for row in system.matrix for j, _ in row[:-1]), I
         solved = solve_integer(system.matrix, system.rhs, base + system.num_multipliers)
         sat = solved is not None
         assert sat == (solve_integer(*generator_sigma(T, I, h)) is not None), I
+        x = solve_congruences(system.matrix, system.rhs, base)
+        assert (x is not None) == sat, I
         if sat:
-            for x in range(I.var_count):
-                nf_element(NF, h[x], solved[0][x * q:(x + 1) * q])
+            for row, r in zip(system.matrix, system.rhs):
+                j, a = row[-1]
+                value = sum(c * x[k] for k, c in row if k < base) - r
+                assert (value % a if j >= base else value) == 0, I
+            for v in (solved[0], x):
+                for y in range(I.var_count):
+                    nf_element(NF, h[y], v[y * q:(y + 1) * q])
         verdicts[sat] += 1
     assert verdicts[True] > 300 and verdicts[False] > 40, verdicts
 
@@ -404,6 +421,82 @@ def test_free_variables_cost_no_kernel(deadline):
     with deadline(1):
         sol = solve_tractable(T, I)
     assert sol is not None and check_assignment(T, I, sol)
+
+
+def integer_block_template(u, d, offset):
+    """A template on the integers whose one block is the w with
+    u.w = u.offset (mod d), for u[0] = 1: its lattice is spanned by d*e_0
+    and e_i - u_i*e_0."""
+    n = len(u)
+    gens = [[d] + [0] * (n - 1)]
+    gens += [[-u[i] if j == 0 else int(j == i) for j in range(n)] for i in range(1, n)]
+    return make_nf_template(integers_nf(), n, [((0,) * n, list(offset), gens)])
+
+
+def agrees_with_the_integer_path(T, I):
+    """solve_tractable's verdict, checked against solve_integer on the
+    whole Sigma."""
+    h = minimal_homomorphism(projected_semilattice_template(T), I)
+    system = build_sigma(T, I, h)
+    cols = I.var_count * system.num_coords + system.num_multipliers
+    sol = solve_tractable(T, I)
+    assert (sol is None) == (solve_integer(system.matrix, system.rhs, cols) is None)
+    assert sol is None or check_assignment(T, I, sol)
+    return sol
+
+
+def test_a_prime_power_sigma_is_refuted_only_mod_nine():
+    """Over the integers with x + y + z = 3 (mod 9), ID e, R(x, x, x) and
+    R(x, x, e) ask 3x = 3 and 2x = 3 (mod 9): x = 6 by the second, and then
+    3x = 0.  Mod 3 both hold at x = 0, so only the 9 refutes it; a planted
+    instance over the same template is solved."""
+    T9 = integer_block_template((1, 1, 1), 9, (0, 0, 3))
+    T3 = integer_block_template((1, 1, 1), 3, (0, 0, 3))
+    I = make_instance(2, [Identity(0), Relation((1, 1, 1)), Relation((1, 1, 0))])
+    assert agrees_with_the_integer_path(T9, I) is None
+    assert agrees_with_the_integer_path(T3, I) is not None
+    assert agrees_with_the_integer_path(T9, make_instance(2, [
+        Identity(0), Relation((1, 1, 1))])) is not None
+    rng = random.Random(79)
+    for _ in range(10):
+        n = rng.randint(4, 12)
+        values, cs = [0] + [rng.randint(-9, 9) for _ in range(n - 1)], [Identity(0)]
+        for _ in range(2 * n):
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            if values[x] + values[y] == values[z]:
+                cs.append(Product(x, y, z))
+            if (values[x] + values[y] + values[z]) % 9 == 3:
+                cs.append(Relation((x, y, z)))
+        assert agrees_with_the_integer_path(T9, make_instance(n, cs)) is not None
+
+
+def test_a_modulus_with_two_large_prime_factors_is_never_factored(deadline):
+    """x + p*y = 1 (mod D) with p = 2^61 - 1 and D = p * (2^89 - 1), two
+    Mersenne primes: a planted instance solves, and R(e, x) with e pinned to
+    0 and x fresh asks p*x = 1 (mod D), which the pivot of gcd p with D
+    refutes through its annihilator row.  Factoring D would not finish in
+    the deadline."""
+    p = 2 ** 61 - 1
+    D = p * (2 ** 89 - 1)
+    T = integer_block_template((1, p), D, (1, 0))
+    (block,) = T.relation
+    assert [d for _, d in block.coset.lattice.congruences] == [D]
+    rng = random.Random(83)
+    values, cs = [0], [Identity(0)]
+    for v in range(1, 30):
+        if rng.random() < 0.5:
+            y = rng.randrange(v)
+            values.append(1 - p * values[y])
+            cs.append(Relation((v, y)))
+        else:
+            x, y = rng.randrange(v), rng.randrange(v)
+            values.append(values[x] + values[y])
+            cs.append(Product(x, y, v))
+    rng.shuffle(cs)
+    with deadline(1):
+        assert agrees_with_the_integer_path(T, make_instance(30, cs)) is not None
+        assert agrees_with_the_integer_path(
+            T, make_instance(31, cs + [Relation((0, 30))])) is None
 
 
 def test_finite_template_to_nf_preserves_relation():

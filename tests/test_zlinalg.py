@@ -10,12 +10,14 @@ from monoidpcsp.zlinalg import (
     Lattice,
     LatticeCoset,
     _solve_dense,
+    _solve_mod,
     coset_member,
     hermite_normal_form,
     lattice_from_generators,
     lattice_member,
     reduce_mod_lattice,
     smith_normal_form,
+    solve_congruences,
     solve_integer,
 )
 from monoidpcsp.regularize import to_normal_form
@@ -343,6 +345,91 @@ def test_solve_integer_dimension_mismatch(solve_matrix):
     for row in (((0, 1), (2, 3)), ((-1, 1),)):
         with pytest.raises(DimensionMismatch):
             solve_integer([row], [1], 2)
+    # solve_congruences: a multiplier column in two rows, two multipliers
+    # in one row, a negative column, a short right-hand side
+    for A, b in ([((0, 1), (2, -3)), ((1, 1), (2, -3))], [0, 0]), \
+                ([((0, 1), (2, -3), (3, -3))], [0]), \
+                ([((-1, 1), (2, -3))], [0]), \
+                ([((0, 1), (2, -3))], []):
+        with pytest.raises(DimensionMismatch):
+            solve_congruences(A, b, 2)
+
+
+def mod_brute_force(rows, rhs, N, cols):
+    """Every y in (Z/N)^cols that meets each row mod N."""
+    return [y for y in product(range(N), repeat=cols)
+            if all((sum(a * y[j] for j, a in row.items()) - r) % N == 0
+                   for row, r in zip(rows, rhs))]
+
+
+def test_solve_mod_against_brute_force():
+    """_solve_mod is solvable exactly when brute force finds a solution, on
+    seeded small systems over Z/N for composite and prime-power N, and each
+    answer meets every row mod N.  Coefficients are drawn from the
+    multiples of N's divisors too, so that pivots of every gcd with N
+    occur."""
+    rng = random.Random(71)
+    verdicts = Counter()
+    for N in (2, 4, 6, 8, 9, 12, 27, 36):
+        divisors = [k for k in range(1, N + 1) if N % k == 0]
+        cols = 3 if N <= 12 else 2
+        for _ in range(200):
+            width = rng.randint(1, cols)
+            rows = [{j: rng.choice(divisors) * rng.randrange(N) for j in range(width)
+                     if rng.random() < 0.7} for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                y = [rng.randrange(N) for _ in range(width)]
+                rhs = [sum(a * y[j] for j, a in row.items()) for row in rows]
+            else:
+                rhs = [rng.randrange(N) for _ in rows]
+            got = _solve_mod(rows, rhs, N)
+            found = mod_brute_force(rows, rhs, N, width)
+            assert (got is None) == (not found), (N, rows, rhs)
+            if got is not None:
+                y = [got.get(j, 0) for j in range(width)]
+                assert all(0 <= v < N for v in got.values())
+                assert tuple(y) in found, (N, rows, rhs)
+            verdicts[got is not None] += 1
+    assert verdicts[True] > 800 and verdicts[False] > 300, verdicts
+
+
+def test_solve_mod_appends_the_annihilator_row():
+    """3x + y = 0 and y = 1 over Z/9: x alone is cleared first, with gcd 3,
+    and the annihilator 3*(3x + y) = 3y = 0 is what refutes y = 1."""
+    assert _solve_mod([{0: 3, 1: 1}, {1: 1}], [0, 1], 9) is None
+    y = _solve_mod([{0: 3, 1: 1}, {1: 1}], [0, 3], 9)
+    assert (3 * y.get(0, 0) + y.get(1, 0)) % 9 == 0 and y.get(1, 0) == 3
+
+
+def test_solve_congruences_agrees_with_solve_integer():
+    """On seeded sparse systems with a multiplier column -d for some rows,
+    solve_congruences and solve_integer on the whole system agree on
+    solvability, and each answer meets every equality exactly and every
+    congruence mod d.  Entries of 2 and 3 leave a core after the +-1
+    presolve, so the congruences are also reduced through x0 + K*s."""
+    rng = random.Random(73)
+    verdicts, cores = Counter(), 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 10)
+        A = [tuple((j, a) for j, a in enumerate(row) if a)
+             for row in sparse_matrix(rng, rows, cols)]
+        moduli = [rng.choice((0, 0, 2, 3, 4, 6, 9)) for _ in A]
+        A = [row + (((cols + i, -d),) if d else ()) for i, (row, d) in enumerate(zip(A, moduli))]
+        b = [rng.randint(-3, 3) for _ in A]
+        got = solve_congruences(A, b, cols)
+        ref = solve_integer(A, b, cols + len(A))
+        assert (got is None) == (ref is None), (A, b)
+        equalities = [(row, r) for row, r, d in zip(A, b, moduli) if not d]
+        reduced = zlinalg._presolve([row for row, _ in equalities],
+                                    [r for _, r in equalities], cols)
+        cores += bool(reduced and reduced[1])
+        if got is not None:
+            assert len(got) == cols
+            for row, r, d in zip(A, b, moduli):
+                value = sum(a * got[j] for j, a in row if j < cols) - r
+                assert (value % d if d else value) == 0, (A, b)
+        verdicts[got is not None] += 1
+    assert verdicts[True] > 60 and verdicts[False] > 60 and cores > 30, (verdicts, cores)
 
 
 def test_lattice_membership():
