@@ -3,6 +3,8 @@ coset: arc-consistency on the idempotent projection, then an integer linear
 system on the coordinate vectors of the normal form.
 """
 
+from collections import deque
+
 from .core import CartesianPower
 from .cosets import is_coset
 from .errors import NotACoset, ValidationError
@@ -29,17 +31,36 @@ def minimal_homomorphism(TI, I):
     template TI over a finite semilattice, or None when no homomorphism
     exists.
 
-    Arc-consistency prunes per-variable domains to a fixpoint; the least
-    homomorphism is the product of each variable's surviving values.
+    Arc consistency prunes per-variable domains to the greatest fixpoint,
+    which is unique, so the order of the narrowing steps does not change
+    it; the least homomorphism is the product of each variable's
+    surviving values.  A worklist (AC-3, Mackworth 1977) narrows a
+    constraint again only when another constraint shrank a domain of one
+    of its variables (narrowing is idempotent: every tuple that it reads
+    stays inside the cut domains).
+
+    The worklist starts with the REL and ID constraints only, as a MUL
+    over full domains of a finite semilattice narrows nothing.  With 1 the
+    identity and 0 the bottom element (the product of all elements), each
+    value a has a supporting tuple (x, y, z) in every shape of MUL:
+    (a, 1, a) for x and z and (1, a, a) for y when x, y, z are distinct;
+    (a, a, a) for MUL x x z and MUL x x x, as a*a = a; (a, 1, a) for x
+    and (0, a, 0) for y in MUL x y x; (a, 0, 0) for x and (1, a, a) for y
+    in MUL x y y.
     """
     N = TI.carrier
     domains = [set(N.elements) for _ in range(I.var_count)]
+    constraints = I.constraints
+    watchers = [[] for _ in range(I.var_count)]
+    for k, c in enumerate(constraints):
+        for v in c.vars:
+            watchers[v].append(k)
 
     def narrow(c):
         """Cut the domain of each variable of c to the values that the
-        tuples of c inside the current domains take at its positions; True
-        when a domain shrank.  Only the source of the tuples depends on the
-        kind of c."""
+        tuples of c inside the current domains take at its positions;
+        return the variables whose domain shrank.  Only the source of the
+        tuples depends on the kind of c."""
         vs = c.vars
         if isinstance(c, Product):
             dz = domains[c.z]
@@ -54,20 +75,27 @@ def minimal_homomorphism(TI, I):
                    if vs.index(v) < i]
         if repeats:
             rows = [t for t in rows if all(t[i] == t[j] for i, j in repeats)]
-        changed = False
+        shrank = []
         for i, v in enumerate(vs):
             keep = domains[v] & {t[i] for t in rows}
-            changed |= keep != domains[v]
-            domains[v] = keep
-        return changed
+            if keep != domains[v]:
+                domains[v] = keep
+                shrank.append(v)
+        return shrank
 
-    changed = True
-    while changed:
-        changed = False
-        for c in I.constraints:
-            changed |= narrow(c)
-        if any(not d for d in domains):
-            return None
+    queue = deque(k for k, c in enumerate(constraints)
+                  if not isinstance(c, Product))
+    queued = set(queue)
+    while queue:
+        k = queue.popleft()
+        queued.discard(k)
+        for v in narrow(constraints[k]):
+            if not domains[v]:
+                return None
+            for w in watchers[v]:
+                if w != k and w not in queued:
+                    queued.add(w)
+                    queue.append(w)
     h = [N.prod(sorted(domains[x])) for x in range(I.var_count)]
     return h if check_assignment(TI, I, h) else None
 
@@ -114,47 +142,62 @@ def build_sigma(T, I, h):
     Every relation constraint's d-tuple under h names a block: h is returned
     only after check_assignment(TI, I, h), and the relation of TI is exactly
     the blocks' d-tuples.
+
+    The rows of a constraint depend only on its kind, its d-tuple under h
+    and which of its variables repeat, so they are found once per such
+    shape, as a pattern: per row, the entries (slot, alpha, coefficient),
+    where slot is the first position of the variable and the coefficients
+    of a repeated variable are summed there, with d and u.offset.  Each
+    constraint then only places its variables into its shape's pattern.
     """
     NF = T.carrier
     q = NF.num_coords
     base = I.var_count * q
-    rows = []          # (sorted non-zero (col, coeff) pairs, rhs)
+    matrix, rhs = [], []
     multipliers = 0
     blocks = {b.d_tuple: b.coset for b in T.relation}
+    patterns = {}
 
-    def add(coeffs, rhs):
-        row = tuple(sorted((j, a) for j, a in coeffs.items() if a))
-        if row or rhs:
-            rows.append((row, rhs))
-
-    def congruent(lattice, terms, rhs):
-        # w is the sum of the terms (sign, x, start): sign * v^x, read
-        # against u's coordinates from start
-        nonlocal multipliers
+    def pattern(kind, ds, slots):
+        if kind is Identity:
+            return [([(0, alpha, 1)], 0, 0) for alpha in NF.lam[ds[0]]]
+        if kind is Product:
+            lattice, offset = NF.xi[ds[2]], ()
+            starts = (0, 0, 0)
+        else:
+            coset = blocks[ds]
+            lattice, offset = coset.lattice, coset.offset
+            starts = [i * q for i in range(len(ds))]
+        signs = (1, 1, -1) if kind is Product else (1,) * len(ds)
+        rows = []
         for u, d in lattice.congruences:
             coeffs = {}
-            for sign, x, start in terms:
-                for alpha in NF.lam[h[x]]:
+            for sign, start, slot, dx in zip(signs, starts, slots, ds):
+                for alpha in NF.lam[dx]:
                     if a := u[start + alpha]:
-                        cc = x * q + alpha
-                        coeffs[cc] = coeffs.get(cc, 0) + sign * a
-            if d:
-                coeffs[base + multipliers] = -d
-                multipliers += 1
-            add(coeffs, sum(a * b for a, b in zip(u, rhs)))
+                        coeffs[slot, alpha] = coeffs.get((slot, alpha), 0) + sign * a
+            entries = [(slot, alpha, a) for (slot, alpha), a in coeffs.items() if a]
+            r = sum(a * b for a, b in zip(u, offset))
+            if entries or d or r:
+                rows.append((entries, d, r))
+        return rows
 
     for c in I.constraints:
-        if isinstance(c, Identity):
-            for alpha in NF.lam[h[c.x]]:
-                add({c.x * q + alpha: 1}, 0)
-        elif isinstance(c, Product):
-            congruent(NF.xi[h[c.z]], ((1, c.x, 0), (1, c.y, 0), (-1, c.z, 0)), ())
-        else:
-            coset = blocks[tuple(h[v] for v in c.vars)]
-            congruent(coset.lattice, [(1, v, i * q) for i, v in enumerate(c.vars)],
-                      coset.offset)
-    return SigmaSystem(I.var_count, q, multipliers,
-                       tuple(r for r, _ in rows), tuple(b for _, b in rows))
+        vs = c.vars
+        key = (type(c), tuple(map(h.__getitem__, vs)), tuple(map(vs.index, vs)))
+        rows = patterns.get(key)
+        if rows is None:
+            rows = patterns[key] = pattern(*key)
+        starts = [v * q for v in vs]
+        for entries, d, r in rows:
+            row = [(starts[slot] + alpha, a) for slot, alpha, a in entries]
+            row.sort()
+            if d:
+                row.append((base + multipliers, -d))
+                multipliers += 1
+            matrix.append(tuple(row))
+            rhs.append(r)
+    return SigmaSystem(I.var_count, q, multipliers, tuple(matrix), tuple(rhs))
 
 
 def projected_semilattice_template(T):

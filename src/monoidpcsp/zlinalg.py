@@ -130,41 +130,44 @@ def _presolve(A, b, cols):
     holders = {}       # column -> live rows holding it
     for i, row in enumerate(A):
         entries = dict(row)
-        if any(not 0 <= j < cols for j in entries):
-            raise DimensionMismatch("matrix column out of range")
         if entries:
+            if min(entries) < 0 or max(entries) >= cols:
+                raise DimensionMismatch("matrix column out of range")
             live[i] = entries
             for j in entries:
                 holders.setdefault(j, set()).add(i)
         elif rhs[i]:
             return None
-    heap = []
-
-    def push(i, columns):
-        row = live[i]
-        for j in columns:
-            if row[j] in (1, -1):
-                heapq.heappush(heap, ((len(row) - 1) * (len(holders[j]) - 1), i, j))
-
-    # Every live +-1 entry keeps a heap key no greater than its current
-    # cost, so a key popped at its entry's cost is the least (cost, row,
-    # column) of all live +-1 entries, and the pivots are taken in exactly
-    # that order.  A key popped off its entry's cost is pushed again at it.
-    for i, row in live.items():
-        push(i, row)
+    # Every live +-1 entry (i, j) has one live key (keys[i, j], i, j) in the
+    # heap, no greater than its current cost; any other key popped for it is
+    # stale and dropped.  So a live key popped at its entry's cost is the
+    # least (cost, row, column) of all live +-1 entries, and the pivots are
+    # taken in exactly that order.  A key is pushed only when an entry's
+    # cost falls below its live key, or it has none, and a live key popped
+    # below its entry's cost is pushed again at it.  Once no row is left,
+    # every key left is stale.
+    keys = {(i, j): (len(row) - 1) * (len(holders[j]) - 1)
+            for i, row in live.items() for j, a in row.items() if a in (1, -1)}
+    heap = [(cost, i, j) for (i, j), cost in keys.items()]
+    heapq.heapify(heap)
     pivots = []
-    while heap:
+    while heap and live:
         cost, p, j = heapq.heappop(heap)
+        if keys.get((p, j)) != cost:
+            continue
         row = live.get(p)
         if row is None or row.get(j) not in (1, -1):
+            del keys[p, j]
             continue
         now = (len(row) - 1) * (len(holders[j]) - 1)
         if now != cost:
+            keys[p, j] = now
             heapq.heappush(heap, (now, p, j))
             continue
-        sign = row[j]
-        row = {k: sign * a for k, a in row.items()}
-        c = sign * rhs[p]
+        c = rhs[p]
+        if row[j] == -1:
+            row = {k: -a for k, a in row.items()}
+            c = -c
         del live[p]
         for k in row:
             holders[k].discard(p)
@@ -198,10 +201,23 @@ def _presolve(A, b, cols):
         # column's count fell; an entry that changed, and so may have become
         # +-1, lies in a column of the pivot row, which is among the fallen
         for i in shorter:
-            push(i, live[i])
+            target = live[i]
+            n = len(target) - 1
+            for k, a in target.items():
+                if a in (1, -1):
+                    now = n * (len(holders[k]) - 1)
+                    if now < keys.get((i, k), now + 1):
+                        keys[i, k] = now
+                        heapq.heappush(heap, (now, i, k))
         for k in fallen:
-            for i in holders[k] - shorter:
-                push(i, (k,))
+            m = len(holders[k]) - 1
+            for i in holders[k] - shorter if shorter else holders[k]:
+                target = live[i]
+                if target[k] in (1, -1):
+                    now = (len(target) - 1) * m
+                    if now < keys.get((i, k), now + 1):
+                        keys[i, k] = now
+                        heapq.heappush(heap, (now, i, k))
     return pivots, live, rhs
 
 
@@ -279,11 +295,13 @@ def solve_congruences(A, b, base):
 
     A row u.x - d*m = r with multiplier m is the congruence u.x = r
     (mod d), and every other row is an equality.  The equalities are
-    solved over Z by :func:`_presolve` and :func:`_solve_core`; each
-    congruence is reduced through their pivots and core, scaled to the lcm
-    D of the moduli, and the result solved over Z/D by :func:`_solve_mod`,
-    which never factors D.  The solution is lifted over Z, with 0 for every
-    free value.
+    solved over Z by :func:`_presolve` and :func:`_solve_core`.  Each
+    pivot column that a congruence reads is reduced once, mod the lcm D of
+    the moduli, to a form over the columns no pivot fixes
+    (:func:`_pivot_forms`); each congruence, scaled by D/d, reads those
+    forms and the core's x0 + K*s, and the result is solved over Z/D by
+    :func:`_solve_mod`, which never factors D.  The solution is lifted
+    over Z, with 0 for every free value.
 
     Proof that this is exact.
     - A row whose multiplier m lies in no other row is a congruence: m is
@@ -295,12 +313,15 @@ def solve_congruences(A, b, base):
     - The equality solutions are x0 + K*Z^k: each pivot column is fixed by
       the columns after it, the core's solutions are x0 + K*Z^k on its
       columns (an HNF transform), and the columns in no equality are free.
-      Substituting the pivot rows and x_core = x0 + K*s turns each
-      congruence into one over the free columns and s.  The map from
-      (free values, s) to x is integral and onto the equality solutions,
-      so any solution mod D of the reduced congruences, read as integers,
-      lifts to an integer x that meets every row, and there is one iff the
-      reduced congruences are solvable mod D.
+      Substituting the pivot rows, last pivot first, writes each pivot
+      column as an integral affine form in the columns no pivot fixes, and
+      it is only needed mod D, as it enters the scaled congruences only;
+      substituting x_core = x0 + K*s then turns each congruence into one
+      over the free columns and s.  The map from (free values, s) to x is
+      integral and onto the equality solutions, so any solution mod D of
+      the reduced congruences, read as integers, lifts to an integer x that
+      meets every row, and there is one iff the reduced congruences are
+      solvable mod D.
     - :func:`_solve_mod` is exact over Z/D: its row operations are
       invertible, and the annihilator row it appends to a pivot row of
       gcd h with D is that row's solvability condition.
@@ -328,39 +349,29 @@ def solve_congruences(A, b, base):
     if core is None:
         return None
     core_cols, core_x0, core_kernel = core
-    order = {j: t for t, (j, _, _) in enumerate(pivots)}
     at_core = {j: t for t, j in enumerate(core_cols)}
     D = lcm(*(d for _, _, d in congruences))
+    form = _pivot_forms(pivots, {j for u, _, _ in congruences for j, _ in u}, D)
     mod_rows, mod_rhs = [], []
     for u, r, d in congruences:
-        row = {j: a % d for j, a in u}
-        # substitute the pivots that the row holds, first pivot first: a
-        # pivot row holds only later pivots
-        queue = [order[j] for j in row if j in order]
-        heapq.heapify(queue)
-        while queue:
-            j, prow, c = pivots[heapq.heappop(queue)]
-            f = row.pop(j, 0)
-            if not f:
-                continue
-            r -= f * c
-            for k, e in prow.items():
-                if k != j:
-                    v = (row.get(k, 0) - f * e) % d
-                    if not v:
-                        row.pop(k, None)
-                        continue
-                    if k not in row and k in order:
-                        heapq.heappush(queue, order[k])
-                    row[k] = v
+        scale = D // d
+        row, r = {}, scale * r
+        for j, a in u:
+            a *= scale
+            if j in form:
+                c, coeffs = form[j]
+                r -= a * c
+                for k, e in coeffs.items():
+                    row[k] = row.get(k, 0) + a * e
+            else:
+                row[j] = row.get(j, 0) + a
         # then x_core = x0 + K*s, with s_t in column base + t
         on_core = [(at_core[j], row.pop(j)) for j in list(row) if j in at_core]
         r -= sum(c * core_x0[i] for i, c in on_core)
         for t, k in enumerate(core_kernel):
             row[base + t] = sum(c * k[i] for i, c in on_core)
-        scale = D // d
-        mod_rows.append({j: scale * c for j, c in row.items()})
-        mod_rhs.append(scale * r)
+        mod_rows.append(row)
+        mod_rhs.append(r)
     y = _solve_mod(mod_rows, mod_rhs, D)
     if y is None:
         return None
@@ -370,6 +381,40 @@ def solve_congruences(A, b, base):
     for j, v in y.items():
         x[j] = v
     return _lift(pivots, x)
+
+
+def _pivot_forms(pivots, wanted, D):
+    """The reduced form mod D of each pivot column in wanted and of every
+    pivot that one reads: j -> (c, coefficients) with x_j = c + the sum of
+    coefficient * x_k (mod D) over columns k that no pivot fixes, for every
+    solution of the pivot rows.  A pivot row x_j + sum a_k x_k = c holds
+    only later pivots, so the form of x_j is c - sum a_k * (form of x_k),
+    with x_k itself where k is no pivot: the pivots read are found on an
+    explicit stack (a chain of pivots can be as long as the system), and
+    their forms are found last pivot first."""
+    at = {j: t for t, (j, _, _) in enumerate(pivots)}
+    read, stack = set(), [at[j] for j in wanted if j in at]
+    while stack:
+        t = stack.pop()
+        if t not in read:
+            read.add(t)
+            stack += [at[k] for k in pivots[t][1] if k in at]
+    forms = {}
+    for t in sorted(read, reverse=True):
+        j, row, c = pivots[t]
+        coeffs = {}
+        for k, a in row.items():
+            if k == j:
+                continue
+            if k in forms:
+                kc, kcoeffs = forms[k]
+                c -= a * kc
+                for m, e in kcoeffs.items():
+                    coeffs[m] = coeffs.get(m, 0) - a * e
+            else:
+                coeffs[k] = coeffs.get(k, 0) - a
+        forms[j] = (c % D, {m: e % D for m, e in coeffs.items() if e % D})
+    return forms
 
 
 def _solve_mod(rows, rhs, N):

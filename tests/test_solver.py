@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ from monoidpcsp.core import (
     CartesianPower,
     cyclic,
     direct_product,
+    is_semilattice,
     semilattice_chain,
 )
 from monoidpcsp.cli import assignment_rows
@@ -31,7 +33,7 @@ from monoidpcsp.solver import (
     projected_semilattice_template,
     solve_tractable,
 )
-from monoidpcsp.sweep import commutative_regular_sweep
+from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 from monoidpcsp.zlinalg import solve_congruences, solve_integer
 from conftest import (
     clifford,
@@ -89,6 +91,86 @@ def test_minimal_homomorphism_is_pointwise_least():
                         assert N.mul(h[x], s[x]) == h[x]
     # the draws repeat a variable in a MUL and in a binary REL
     assert repeated == {Product, Relation}
+
+
+def sweep_minimal_homomorphism(TI, I, sweeps):
+    """minimal_homomorphism as a plain sweep: narrow every constraint in
+    turn, by the same rule, until a whole sweep changes no domain.  Appends
+    the number of sweeps to the list sweeps."""
+    N = TI.carrier
+    domains = [set(N.elements) for _ in range(I.var_count)]
+
+    def narrow(c):
+        vs = c.vars
+        if isinstance(c, Product):
+            rows = [(a, b, N.mul(a, b)) for a in domains[c.x] for b in domains[c.y]
+                    if N.mul(a, b) in domains[c.z]]
+        elif isinstance(c, Identity):
+            rows = [(N.identity,)]
+        else:
+            rows = [t for t in TI.relation
+                    if all(a in domains[v] for v, a in zip(vs, t))]
+        rows = [t for t in rows
+                if all(t[i] == t[vs.index(v)] for i, v in enumerate(vs))]
+        changed = False
+        for i, v in enumerate(vs):
+            keep = domains[v] & {t[i] for t in rows}
+            changed |= keep != domains[v]
+            domains[v] = keep
+        return changed
+
+    changed, count = True, 0
+    while changed:
+        changed, count = False, count + 1
+        for c in I.constraints:
+            changed |= narrow(c)
+        if any(not d for d in domains):
+            break
+    sweeps.append(count)
+    if any(not d for d in domains):
+        return None
+    h = [N.prod(sorted(domains[x])) for x in range(I.var_count)]
+    return h if check_assignment(TI, I, h) else None
+
+
+def test_the_worklist_reaches_the_sweep_fixpoint():
+    """minimal_homomorphism's worklist gives the plain sweep's answer on
+    seeded instances over every semilattice of monoid_sweep(4, unique=True),
+    with random relations of arity 1 to 3 and every shape of MUL (x x z,
+    x y x, x y y, x x x and distinct), ID and REL constraints (a REL may
+    repeat a variable).  Some cases are unsatisfiable and some need the
+    domains narrowed over several sweeps, so a worklist that did not narrow
+    a constraint again after a domain of its variables shrank would give a
+    different answer."""
+    rng = random.Random(89)
+    semilattices = [M for M in monoid_sweep(4, unique=True) if is_semilattice(M)]
+    assert len(semilattices) == 5
+    verdicts, sweeps = Counter(), []
+    for N in semilattices:
+        for arity in (1, 2, 3):
+            tuples = list(product(N.elements, repeat=arity))
+            for _ in range(25):
+                TI = Template(N, arity, frozenset(
+                    rng.sample(tuples, rng.randint(1, len(tuples)))))
+                n = rng.randint(2, 7)
+                cs = []
+                for _ in range(rng.randint(1, 2 * n)):
+                    x, y, z = (rng.randrange(n) for _ in range(3))
+                    shape = rng.randrange(8)
+                    if shape < 5:
+                        cs.append(Product(*((x, x, z), (x, y, x), (x, y, y),
+                                            (x, x, x), (x, y, z))[shape]))
+                    elif shape == 5:
+                        cs.append(Identity(x))
+                    else:
+                        cs.append(Relation(tuple(rng.choice((x, y, z))
+                                                 for _ in range(arity))))
+                I = make_instance(n, cs)
+                h = minimal_homomorphism(TI, I)
+                assert h == sweep_minimal_homomorphism(TI, I, sweeps), (N.table, TI, I)
+                verdicts[h is not None] += 1
+    assert verdicts[True] > 250 and verdicts[False] > 40, verdicts
+    assert sum(k >= 3 for k in sweeps) > 40, Counter(sweeps)
 
 
 def test_unsat_when_domains_empty():
@@ -391,6 +473,90 @@ def test_congruence_sigma_agrees_with_the_generator_sigma():
                     nf_element(NF, h[y], v[y * q:(y + 1) * q])
         verdicts[sat] += 1
     assert verdicts[True] > 300 and verdicts[False] > 40, verdicts
+
+
+def per_constraint_sigma(T, I, h):
+    """build_sigma's rows written constraint by constraint, each from its
+    lattice's congruences, with no pattern shared between constraints:
+    (matrix, rhs, multipliers)."""
+    NF = T.carrier
+    q = NF.num_coords
+    base = I.var_count * q
+    rows, multipliers = [], 0
+    blocks = {b.d_tuple: b.coset for b in T.relation}
+
+    def add(coeffs, r):
+        row = tuple(sorted((j, a) for j, a in coeffs.items() if a))
+        if row or r:
+            rows.append((row, r))
+
+    for c in I.constraints:
+        if isinstance(c, Identity):
+            for alpha in NF.lam[h[c.x]]:
+                add({c.x * q + alpha: 1}, 0)
+            continue
+        if isinstance(c, Product):
+            lattice, offset = NF.xi[h[c.z]], ()
+            terms = [(1, c.x, 0), (1, c.y, 0), (-1, c.z, 0)]
+        else:
+            coset = blocks[tuple(h[v] for v in c.vars)]
+            lattice, offset = coset.lattice, coset.offset
+            terms = [(1, v, i * q) for i, v in enumerate(c.vars)]
+        for u, d in lattice.congruences:
+            coeffs = {}
+            for sign, x, start in terms:
+                for alpha in NF.lam[h[x]]:
+                    j = x * q + alpha
+                    coeffs[j] = coeffs.get(j, 0) + sign * u[start + alpha]
+            if d:
+                coeffs[base + multipliers] = -d
+                multipliers += 1
+            add(coeffs, sum(a * b for a, b in zip(u, offset)))
+    return tuple(r for r, _ in rows), tuple(b for _, b in rows), multipliers
+
+
+def test_sigma_patterns_give_the_per_constraint_rows():
+    """build_sigma, which writes each constraint from its shape's pattern,
+    equals the Sigma written constraint by constraint, on planted and
+    random instances over the four solve-finite carriers (c3xc2, z3xc2,
+    z6xc3, z2xc3xc2, through finite_template_to_nf, whose lam is not
+    constant) and over intro_M, every case also with REL x x y and
+    MUL x x z constraints, which add up a repeated variable's
+    coefficients."""
+    rng = random.Random(97)
+    chain, Z = semilattice_chain, cyclic
+    shapes = [(direct_product(chain(3), chain(2)), 3),
+              (direct_product(Z(3), chain(2)), 3),
+              (direct_product(Z(6), chain(3)), 2),
+              (direct_product(direct_product(Z(2), chain(3)), chain(2)), 2)]
+    cases = [(intro_m_template(), planted_intro_instance(rng, rng.randint(6, 30)))
+             for _ in range(10)]
+    for M, arity in shapes:
+        seeds = [tuple(rng.randrange(M.size) for _ in range(arity)) for _ in range(2)]
+        T = make_finite_template(
+            M, arity, coset_closure(CartesianPower(M, arity), seeds).members)
+        TN, _ = finite_template_to_nf(T)
+        assert len(set(TN.carrier.lam)) > 1
+        cases += [(TN, planted_instance(rng, T, rng.randint(6, 24))) for _ in range(10)]
+        cases += [(TN, I) for I in seeded_instances(rng, 30, 5, arity)]
+    repeats = Counter()
+    for T, I in cases:
+        n, arity = I.var_count, T.arity
+        for _ in range(3):
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            extra = [Product(x, x, z),
+                     Relation((x, x) + tuple(rng.randrange(n) for _ in range(arity - 2)))
+                     if arity >= 2 else Relation((x,))]
+            J = make_instance(n, list(I.constraints) + extra)
+            for K in (I, J):
+                h = minimal_homomorphism(projected_semilattice_template(T), K)
+                if h is None:
+                    continue
+                system = build_sigma(T, K, h)
+                assert (system.matrix, system.rhs, system.num_multipliers) == \
+                    per_constraint_sigma(T, K, h), K
+                repeats[K is J] += 1
+    assert repeats[False] > 100 and repeats[True] > 100, repeats
 
 
 def test_an_intro_m_relation_is_one_row_with_one_multiplier():

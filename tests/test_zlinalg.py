@@ -432,6 +432,54 @@ def test_solve_congruences_agrees_with_solve_integer():
     assert verdicts[True] > 60 and verdicts[False] > 60 and cores > 30, (verdicts, cores)
 
 
+def pivot_chain_system(rng, length, count, sat):
+    """Equalities x_i + x_(i+1) = c_i for i < length, whose presolve pivots
+    row i on column i, so that pivot row i holds column i + 1, the next
+    pivot; and count congruences on the chain's head x_0, each with its
+    multiplier column from base = length + 1 + count.  Most also hold a
+    column of their own; every 50th holds x_0 alone, with an even modulus,
+    and the first asks x_0's parity, which the others fix: met by a
+    planted x when sat, one off when not.  Returns (A, b, base)."""
+    base = length + 1 + count
+    x = [rng.randint(-5, 5) for _ in range(base)]
+    A = [((i, 1), (i + 1, 1)) for i in range(length)]
+    b = [x[i] + x[i + 1] for i in range(length)]
+    for k in range(count):
+        if k % 50:
+            d, own = rng.choice((4, 6, 9, 10)), length + 1 + k
+            A.append(((0, 1), (own, 1), (base + k, -d)))
+            b.append(x[0] + x[own] + d * rng.randint(-2, 2))
+        else:
+            d = rng.choice((4, 6, 10)) if k else 2
+            A.append(((0, 1), (base + k, -d)))
+            b.append(x[0] + (0 if sat or k else 1))
+    return A, b, base
+
+
+def test_congruences_read_a_long_pivot_chain_once(deadline):
+    """Each congruence reads the head of a chain of 2000 pivots; the chain
+    is reduced mod D once, so 8 systems of 400 congruences each solve in
+    well under the deadline (about 0.13 s; walking the chain's pivot rows
+    for each congruence apart took 3.3 to 5.2 s).  Each answer meets every row, and the verdict
+    is solve_integer's on the whole system."""
+    rng = random.Random(101)
+    systems = [pivot_chain_system(rng, 2000, 400, sat) for sat in (True, False) * 4]
+    pivots = zlinalg._presolve(systems[0][0][:2000], systems[0][1][:2000], 2001)[0]
+    assert [(j, sorted(row)) for j, row, _ in pivots[:3]] == \
+        [(0, [0, 1]), (1, [1, 2]), (2, [2, 3])]
+    with deadline(1):
+        answers = [solve_congruences(A, b, base) for A, b, base in systems]
+    for (A, b, base), x, sat in zip(systems, answers, (True, False) * 4):
+        assert (x is not None) == sat
+        assert (solve_integer(A, b, base + 400) is not None) == sat
+        if x is None:
+            continue
+        for row, r in zip(A, b):
+            value = sum(a * x[j] for j, a in row if j < base) - r
+            j, a = row[-1]
+            assert (value % a if j >= base else value) == 0
+
+
 def test_lattice_membership():
     # sublattice of Z^3 with coordinate sum divisible by 3
     L = lattice_from_generators(3, [[1, -1, 0], [0, 1, -1], [3, 0, 0]])
