@@ -32,16 +32,17 @@ class Classification:
     sandwich_embedding: tuple = None  # sandwich carrier index -> relN element
 
 
-def _try_witness(relN, image_elems, rel_image):
+def _try_witness(relN, image_elems, rel_gens):
     """Tractability test for one candidate hom, given its carrier image and
-    relation image as finite sets over relN's carrier: the submonoid on the
-    image must be commutative completely regular, and the coset closure of
-    the relation image computed inside it must stay in relN's relation.
-    Returns (sandwich, embedding) or None."""
+    a subset of its relation image with the same coset closure (the hom's
+    ``relation_generators``), as finite sets over relN's carrier: the
+    submonoid on the image must be commutative completely regular, and the
+    coset closure of ``rel_gens`` computed inside it must stay in relN's
+    relation.  Returns (sandwich, embedding) or None."""
     A, old_of_new, new_of_old = submonoid(relN.carrier, image_elems)
     if not (is_commutative(A) and is_completely_regular(A)):
         return None
-    tuples_A = frozenset(tuple(new_of_old[a] for a in t) for t in rel_image)
+    tuples_A = frozenset(tuple(new_of_old[a] for a in t) for t in rel_gens)
     closure_A = coset_closure(CartesianPower(A, relN.arity), tuples_A).members
     if any(tuple(old_of_new[i] for i in t) not in relN.relation for t in closure_A):
         return None
@@ -49,14 +50,19 @@ def _try_witness(relN, image_elems, rel_image):
 
 
 def relation_preserving_homs(relM, relN):
-    """Homomorphisms between carriers that map relM's relation into relN's,
-    in deterministic order."""
+    """The list of homomorphisms between carriers that map relM's relation
+    into relN's, in deterministic order.  :func:`classify` does not list
+    them: it takes the same homs one at a time from ``homs_into``."""
     check_pair(relM, relN)
-    return homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation)
+    return list(homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation))
 
 
 def classify(relM, relN):
     """Decide the promise template pair.
+
+    The relation-preserving homs are taken one at a time, in the order of
+    :func:`relation_preserving_homs`, and the first that passes
+    :func:`_try_witness` is the witness; the homs after it are never built.
 
     Raises PromiseViolation when relM is finite and admits no relational
     homomorphism into relN.  For normal-form relM with a coset relation, a
@@ -67,14 +73,15 @@ def classify(relM, relN):
     nf = is_nf_template(relM)
     if nf:
         projected_semilattice_template(relM)
-    preserving = relation_preserving_homs(relM, relN)
-    if not preserving and not nf:
-        raise PromiseViolation("no relational homomorphism between the templates")
-    for h in preserving:
-        got = _try_witness(relN, h.image_set(), h.relation_image(relM))
+    check_pair(relM, relN)
+    h = None
+    for h in homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation):
+        got = _try_witness(relN, h.image_set(), h.relation_generators(relM))
         if got is not None:
             sandwich, embedding = got
             return Classification("Tractable", h, sandwich, embedding)
+    if h is None and not nf:
+        raise PromiseViolation("no relational homomorphism between the templates")
     return Classification("NPHard")
 
 
@@ -91,7 +98,7 @@ def classify_via_abreg(relM, relN):
     closed = coset_closure(CartesianPower(Q, relM.arity), projected).members
     for g in enumerate_homs(Q, relN.carrier, closed, relN.relation):
         composed = g.compose(quot.projection)
-        got = _try_witness(relN, composed.image_set(), composed.relation_image(relM))
+        got = _try_witness(relN, composed.image_set(), composed.relation_generators(relM))
         if got is None:
             continue
         sandwich, embedding = got

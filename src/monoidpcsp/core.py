@@ -118,8 +118,8 @@ class MonoidHom:
 
     It shares one protocol with :class:`regularize.NFHom`, so callers never
     ask which kind of hom they hold: ``h(a)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``
-    and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``relation_generators(T)``,
+    ``pointwise_product(other)`` and ``constant()``.
     """
 
     source: FiniteMonoid
@@ -139,6 +139,11 @@ class MonoidHom:
     def relation_image(self, T):
         """The image of a finite template's relation, as a tuple set."""
         return frozenset(tuple(self.images[a] for a in t) for t in T.relation)
+
+    def relation_generators(self, T):
+        """A subset of the relation image with the same coset closure: the
+        whole image, as a finite relation has no smaller presentation."""
+        return self.relation_image(T)
 
     def pointwise_product(self, other):
         F = self.target

@@ -146,7 +146,7 @@ def find_block_symmetric(relM, relN, i):
     :func:`is_polymorphism` test on these two sets, stopping at the first
     product outside relN's relation."""
     check_pair(relM, relN)
-    homs = homs_into(relM.carrier, relN.carrier)
+    homs = list(homs_into(relM.carrier, relN.carrier))
     if len(homs) ** 2 > SEARCH_CAP:
         raise TooLarge("too many homomorphism pairs")
     F, rel = relN.carrier, relN.relation

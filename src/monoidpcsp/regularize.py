@@ -356,8 +356,8 @@ class NFHom:
 
     It shares one protocol with :class:`core.MonoidHom`, so callers never ask
     which kind of hom they hold: ``h(x)``, ``generating_images()``,
-    ``image_set()``, ``relation_image(T)``, ``pointwise_product(other)``
-    and ``constant()``.
+    ``image_set()``, ``relation_image(T)``, ``relation_generators(T)``,
+    ``pointwise_product(other)`` and ``constant()``.
     """
 
     source: NormalFormMonoid
@@ -382,6 +382,25 @@ class NFHom:
     def relation_image(self, T):
         return nf_relation_image(self, T)
 
+    def relation_generators(self, T):
+        """U', a subset of h(R) with the same coset closure: for each block,
+        its offset's image o and o*h(w) for each lattice basis vector w.
+
+        U' <= h(R), as o*h(w) is the image of offset + w.  The block's image
+        is o*<W>, W = {h(w)} (:func:`_block_image`).  Inside a commutative,
+        completely regular A^r holding h(R), let e be o's idempotent; then
+        o^-1 * (o*h(w)) = e*h(w) lies in U'^-1 x U', and as o*e = o,
+        o*(e*h(w))^k = o*h(w)^k lies in [U'] for every k >= 0; so does o
+        times any product of such powers: o*<W> <= [U'].  Hence h(R) <= [U']
+        <= [h(R)], and [U'] = [h(R)]."""
+        F, q = self.target, self.source.num_coords
+        out = set()
+        for block in T.relation:
+            o, words = _block_generators(F, self.phi_images, self.gen_images, block, q)
+            out.add(o)
+            out.update(tuple(map(F.mul, o, w)) for w in words)
+        return frozenset(out)
+
     def pointwise_product(self, other):
         F = self.target
         return NFHom(self.source, F,
@@ -401,25 +420,32 @@ def nf_hom_image(h):
     return generated_subset(h.target, h.generating_images())
 
 
-def _block_image(F, phis, gens, block, q, within=None):
-    """The image of one block of an NF relation under the hom with
-    semilattice images ``phis`` and generator images ``gens``: the image o
-    of the offset (its slices evaluated unreduced, as a hom kills xi(d))
-    closed under the images W of the lattice generators, or None once it
-    leaves ``within``.
-
-    Closing under W alone gives the closure under W and W^-1.  Each w in W
-    is a product of the commuting regular generator images and their
-    inverses, so w lies in a subgroup of F^r, of some finite order m there.
-    Then w^-1 = w^j with j >= 1: j = m - 1 when m >= 2, and j = 1 when w is
-    idempotent.  A word in W and W^-1 therefore equals a word in W."""
+def _block_generators(F, phis, gens, block, q):
+    """(o, W) for one block of an NF relation under the hom with semilattice
+    images ``phis`` and generator images ``gens``: the image o of the offset
+    (its slices evaluated unreduced, as a hom kills xi(d)) and the images W
+    of the lattice basis vectors."""
     r = len(block.d_tuple)
     o = tuple(eval_exponents(F, phis[d], gens, block.coset.offset[i * q:(i + 1) * q])
               for i, d in enumerate(block.d_tuple))
     words = [tuple(eval_exponents(F, F.identity, gens, u[i * q:(i + 1) * q])
                    for i in range(r))
              for u in block.coset.lattice.basis]
-    return closed_under(CartesianPower(F, r), (o,), words, within)
+    return o, words
+
+
+def _block_image(F, phis, gens, block, q, within=None):
+    """The image of one block of an NF relation: the offset's image o closed
+    under the images W of the lattice generators (:func:`_block_generators`),
+    or None once it leaves ``within``.
+
+    Closing under W alone gives the closure under W and W^-1.  Each w in W
+    is a product of the commuting regular generator images and their
+    inverses, so w lies in a subgroup of F^r, of some finite order m there.
+    Then w^-1 = w^j with j >= 1: j = m - 1 when m >= 2, and j = 1 when w is
+    idempotent.  A word in W and W^-1 therefore equals a word in W."""
+    o, words = _block_generators(F, phis, gens, block, q)
+    return closed_under(CartesianPower(F, len(o)), (o,), words, within)
 
 
 def nf_relation_image(h, T):
@@ -432,15 +458,23 @@ def nf_relation_image(h, T):
 def homs_into(M, F, relation=(), allowed=frozenset()):
     """Every homomorphism from a carrier (finite or normal form) into the
     finite monoid F that maps ``relation`` (the tuples of a finite M, the
-    blocks of an NF M) into ``allowed``, in deterministic order."""
+    blocks of an NF M) into ``allowed``, in deterministic order: a list for
+    a finite M, and for an NF M an iterator that tests a hom's blocks only
+    when it is asked for that hom."""
     if isinstance(M, NormalFormMonoid):
-        return nf_homs_to_finite(M, F, relation, allowed)
+        return nf_homs(M, F, relation, allowed)
     return enumerate_homs(M, F, relation, allowed)
 
 
 def nf_homs_to_finite(NF, F, blocks=(), allowed=frozenset()):
+    """The list of :func:`nf_homs`."""
+    return list(nf_homs(NF, F, blocks, allowed))
+
+
+def nf_homs(NF, F, blocks=(), allowed=frozenset()):
     """The monoid homomorphisms from NF into the finite monoid F that map
-    each of ``blocks`` into ``allowed``, ordered by (phi_images, gen_images).
+    each of ``blocks`` into ``allowed``, yielded in (phi_images, gen_images)
+    order.
 
     A hom is a semilattice hom phi: N -> F and regular generator images
     g_alpha, d_{g_alpha} = phi(anchor(alpha)), that commute with each other
@@ -448,10 +482,10 @@ def nf_homs_to_finite(NF, F, blocks=(), allowed=frozenset()):
     needs no more test: phi(d)^2 = phi(d^2) = phi(d) and phi(a)phi(b) =
     phi(ab) = phi(ba).  :func:`core.backtrack` tests g_alpha against the
     earlier g and phi's images, and against each row of xi whose last
-    non-zero coordinate is alpha; each complete hom is then kept when every
-    block's image stays in ``allowed``.  enumerate_homs yields phi in image
-    order and backtrack the g in lexicographic order, so the list needs no
-    sort.
+    non-zero coordinate is alpha; a complete hom is yielded when every
+    block's image stays in ``allowed``, tested when the caller asks for the
+    next hom.  enumerate_homs lists phi in image order and backtrack yields
+    the g in lexicographic order, so the order needs no sort.
     """
     regular_of = {}     # idempotent e -> its maximal subgroup, in element order
     for a in F.elements:
@@ -471,11 +505,10 @@ def nf_homs_to_finite(NF, F, blocks=(), allowed=frozenset()):
                 and all(eval_exponents(F, phis[d], g, row) == phis[d]
                         for d, row in relators_at[alpha]))
 
-    out = []
     for phi in enumerate_homs(NF.semilattice, F):
         phis = phi.images
         candidates = [regular_of[phis[d]] for d in NF.anchors]
-        out.extend(NFHom(NF, F, phis, g) for g in backtrack(candidates, accept)
-                   if all(_block_image(F, phis, g, block, q, allowed) is not None
-                          for block in blocks))
-    return out
+        for g in backtrack(candidates, accept):
+            if all(_block_image(F, phis, g, block, q, allowed) is not None
+                   for block in blocks):
+                yield NFHom(NF, F, phis, g)

@@ -1,10 +1,15 @@
+import functools
 import os
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 
+from monoidpcsp import regularize
 from monoidpcsp.classify import (
+    Classification,
+    _try_witness,
     classify,
     classify_via_abreg,
     nf_hom_image,
@@ -21,11 +26,13 @@ from monoidpcsp.core import (
     eval_exponents,
     inverse,
     semilattice_chain,
+    submonoid,
 )
 from monoidpcsp.cosets import coset_closure
 from monoidpcsp.errors import ArityMismatch, PromiseViolation
 from monoidpcsp.model import (
     Template,
+    is_nf_template,
     make_finite_template,
     parse_template,
 )
@@ -35,7 +42,7 @@ from monoidpcsp.regularize import (
     nf_homs_to_finite,
     to_normal_form,
 )
-from monoidpcsp.solver import finite_template_to_nf
+from monoidpcsp.solver import finite_template_to_nf, projected_semilattice_template
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 from conftest import intro_nf_template, nonconstant_triples
 
@@ -212,7 +219,7 @@ def test_direct_and_regularized_paths_agree_on_small_pairs():
 def filtered_over_every_hom(relM, relN):
     """relation_preserving_homs by its definition: every hom, its full
     relation image, and the filter on it."""
-    homs = homs_into(relM.carrier, relN.carrier)
+    homs = list(homs_into(relM.carrier, relN.carrier))
     return [h for h in homs if h.relation_image(relM) <= relN.relation], len(homs)
 
 
@@ -252,22 +259,21 @@ def seeded_coset_template(S, arity, rng):
     return make_finite_template(S, arity, coset_closure(P, seeds).members)
 
 
-def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
-    """The search that keeps a hom only when every block's image lies in
-    relN loses no hom and keeps none that leaves relN: intro_M.nf into
-    Z/1..Z/12 with the non-constant triples and with seeded relations, some
-    of which hold a hom's full image, and the normal forms (up to three
-    coordinates) of seeded coset templates of arity 1 and 2 over small
-    commutative regular monoids into every monoid of size at most 3, Z/4
-    and C2 x C2.  On the coset templates of arity 1 and 2, the finite
-    search on the template keeps the same homs as the search on its normal
-    form, each NF hom read through the isomorphism's encode."""
+@functools.cache
+def seeded_nf_corpus():
+    """(pairs, twins), seeded: intro_M.nf into Z/1..Z/12 with the
+    non-constant triples and with seeded relations, some of which hold a
+    hom's full image, and the normal forms (up to three coordinates) of
+    seeded coset templates of arity 1 and 2 over small commutative regular
+    monoids into every monoid of size at most 3, Z/4 and C2 x C2.  twins
+    holds (TF, TS, iso, relN) for the coset templates TF of arity 1 and 2,
+    whose normal form TS is paired with relN in pairs."""
     rng = random.Random(25)
     T = data_template("intro_M.nf")
-    pairs = []
+    pairs, twins = [], []
     for n in range(1, 13):
         pairs.append((T, intro_target(n)))
-        homs = homs_into(T.carrier, cyclic(n))
+        homs = list(homs_into(T.carrier, cyclic(n)))
         cube = list(product(range(n), repeat=3))
         for _ in range(3):
             rel = set(rng.sample(cube, rng.randint(0, len(cube))))
@@ -279,7 +285,7 @@ def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
         for F in monoid_sweep(3, unique=True):
             square = list(product(F.elements, repeat=2))
             rel = set(rng.sample(square, rng.randint(0, len(square))))
-            homs = homs_into(TS.carrier, F)
+            homs = list(homs_into(TS.carrier, F))
             if rng.random() < 0.7:
                 rel |= rng.choice(homs).relation_image(TS)
             pairs.append((TS, make_finite_template(F, 2, rel)))
@@ -293,20 +299,137 @@ def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
                 power = list(product(F.elements, repeat=arity))
                 rel = set(rng.sample(power, rng.randint(0, len(power))))
                 if rng.random() < 0.7:
-                    rel |= rng.choice(homs_into(TS.carrier, F)).relation_image(TS)
+                    rel |= rng.choice(list(homs_into(TS.carrier, F))).relation_image(TS)
                 relN = make_finite_template(F, arity, rel)
                 pairs.append((TS, relN))
-                # the finite search keeps the same homs, read through encode
-                finite = sorted(h.images for h in relation_preserving_homs(TF, relN))
-                nf = sorted(tuple(h(iso.encode(a)) for a in S.elements)
-                            for h in relation_preserving_homs(TS, relN))
-                assert finite == nf, (TF, relN)
+                twins.append((TF, TS, iso, relN))
+    return pairs, twins
+
+
+def test_relation_preserving_homs_on_nf_matches_the_filter_over_every_hom():
+    """The search that keeps a hom only when every block's image lies in
+    relN loses no hom and keeps none that leaves relN, on the seeded
+    normal-form corpus.  On its coset templates of arity 1 and 2, the
+    finite search on the template keeps the same homs as the search on its
+    normal form, each NF hom read through the isomorphism's encode."""
+    pairs, twins = seeded_nf_corpus()
+    for TF, TS, iso, relN in twins:
+        finite = sorted(h.images for h in relation_preserving_homs(TF, relN))
+        nf = sorted(tuple(h(iso.encode(a)) for a in TF.carrier.elements)
+                    for h in relation_preserving_homs(TS, relN))
+        assert finite == nf, (TF, relN)
     cut = 0
     for relM, relN in pairs:
         expected, count = filtered_over_every_hom(relM, relN)
         assert relation_preserving_homs(relM, relN) == expected, (relM, relN)
         cut += 0 < len(expected) < count
     assert cut > 120, cut
+
+
+def eager_classify(relM, relN):
+    """The eager reference for classify: the list of preserving homs, each
+    tried as a witness with its full relation image, the first that passes
+    taken."""
+    nf = is_nf_template(relM)
+    if nf:
+        projected_semilattice_template(relM)
+    preserving = relation_preserving_homs(relM, relN)
+    if not preserving and not nf:
+        raise PromiseViolation("no relational homomorphism between the templates")
+    for h in preserving:
+        got = _try_witness(relN, h.image_set(), h.relation_image(relM))
+        if got is not None:
+            return Classification("Tractable", h, *got)
+    return Classification("NPHard")
+
+
+def outcome(classifier, relM, relN):
+    try:
+        return classifier(relM, relN)
+    except PromiseViolation:
+        return "PromiseViolation"
+
+
+def finite_slice():
+    """Seeded pairs of unary and binary templates over the monoids of size
+    at most 3, each pair of carriers twice; most relN hold the image of relM
+    under some hom."""
+    rng = random.Random(31)
+    sweep = monoid_sweep(3, unique=True)
+    pairs = []
+    for M, N in product(sweep, repeat=2):
+        for arity in (1, 2):
+            rel_M = {tuple(rng.randrange(M.size) for _ in range(arity))
+                     for _ in range(rng.randint(1, 3))}
+            rel_N = {tuple(rng.randrange(N.size) for _ in range(arity))
+                     for _ in range(rng.randint(0, 4))}
+            if rng.random() < 0.7:
+                h = rng.choice(homs_into(M, N))
+                rel_N |= {tuple(h(a) for a in t) for t in rel_M}
+            pairs.append((make_finite_template(M, arity, rel_M),
+                          make_finite_template(N, arity, rel_N)))
+    return pairs
+
+
+def intro_family():
+    T = data_template("intro_M.nf")
+    return [(T, intro_target(n)) for n in range(2, 13)]
+
+
+def test_classify_matches_the_eager_reference():
+    """The lazy search returns the eager reference's Classification
+    (verdict, witness, sandwich and embedding), or raises where it raises,
+    on the intro family Z/2..Z/12, the seeded normal-form corpus and a
+    finite slice over the monoids of size at most 3."""
+    seen = Counter()
+    for relM, relN in intro_family() + seeded_nf_corpus()[0] + finite_slice():
+        got = outcome(classify, relM, relN)
+        assert got == outcome(eager_classify, relM, relN), (relM, relN)
+        seen[getattr(got, "verdict", got)] += 1
+    assert min(seen[k] for k in ("Tractable", "NPHard", "PromiseViolation")) > 20, seen
+
+
+def test_relation_generators_have_the_relation_image_closure():
+    """U' = h.relation_generators(T) lies in h(R), and inside h's image,
+    which is commutative and completely regular for an NF hom, [U'] =
+    [h(R)]: for every preserving NF hom on the intro family and the seeded
+    normal-form corpus."""
+    checked = 0
+    for relM, relN in intro_family() + seeded_nf_corpus()[0]:
+        for h in relation_preserving_homs(relM, relN):
+            full = h.relation_image(relM)
+            gens = h.relation_generators(relM)
+            assert gens <= full, (h, relM)
+            A, _, new_of_old = submonoid(h.target, h.image_set())
+            P = CartesianPower(A, relM.arity)
+
+            def closure(U):
+                return coset_closure(P, {tuple(new_of_old[a] for a in t) for t in U})
+
+            assert closure(gens) == closure(full), (h, relM)
+            checked += len(gens) < len(full)
+    assert checked > 100, checked
+
+
+def test_classify_stops_at_the_first_witness(monkeypatch):
+    """On intro_M against Z/9, the first hom (g = 0) leaves relN and the
+    second (g = 1) is the witness: classify builds two block images where a
+    search listing every preserving hom builds nine.  The list of
+    relation_preserving_homs still holds every one of the eight."""
+    built = []
+    block_image = regularize._block_image
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return block_image(*args, **kwargs)
+
+    monkeypatch.setattr(regularize, "_block_image", counting)
+    T, N = data_template("intro_M.nf"), data_template("introN_9.mon")
+    assert classify(T, N).verdict == "Tractable"
+    assert len(built) <= 2, built
+    expected, count = filtered_over_every_hom(T, N)
+    assert relation_preserving_homs(T, N) == expected
+    assert (len(expected), count) == (8, 9)
 
 
 def test_an_np_hard_intro_target_classifies_at_once(deadline):
