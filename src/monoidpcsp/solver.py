@@ -113,7 +113,8 @@ class SigmaSystem:
     for alpha in lam(h[x]); further columns hold fresh multipliers, one per
     divisor d > 1 of a lattice's congruences, each in one row only, where
     it is the last entry.  A row is a tuple of non-zero (column,
-    coefficient) pairs by ascending column.
+    coefficient) pairs by strictly ascending column, so it names each
+    column once, as the row rule of the integer solves in zlinalg asks.
     """
 
     var_count: int

@@ -111,6 +111,16 @@ def smith_normal_form(A):
         T, Qt = _hermite_with(_transpose(S), Qt)
 
 
+def _entries(row, cols):
+    """A row of (column, coefficient) pairs as a dict, under the one row
+    rule of both integer solves: each column lies in range(cols) and is
+    named once.  A row that breaks it raises DimensionMismatch."""
+    entries = dict(row)
+    if len(entries) != len(row) or entries and (min(entries) < 0 or max(entries) >= cols):
+        raise DimensionMismatch("a row names a column twice or out of range")
+    return entries
+
+
 def _presolve(A, b, cols):
     """Eliminate the equalities A*x = b on sparse rows (Markowitz 1957):
     repeatedly take a +-1 entry of least cost (row length - 1) *
@@ -129,10 +139,8 @@ def _presolve(A, b, cols):
     live, rhs = {}, list(b)
     holders = {}       # column -> live rows holding it
     for i, row in enumerate(A):
-        entries = dict(row)
+        entries = _entries(row, cols)
         if entries:
-            if min(entries) < 0 or max(entries) >= cols:
-                raise DimensionMismatch("matrix column out of range")
             live[i] = entries
             for j in entries:
                 holders.setdefault(j, set()).add(i)
@@ -221,69 +229,78 @@ def _presolve(A, b, cols):
     return pivots, live, rhs
 
 
-def _solve_core(live, rhs):
-    """(columns, x0, kernel) of the core rows that :func:`_presolve` leaves,
-    solved by :func:`_solve_dense` on the columns they hold: the core's
-    integer solutions are x0 + K*Z^k on those columns.  None when there is
-    none."""
+def _solve_core(live, rhs, cols):
+    """The integer solutions of the core rows that :func:`_presolve` leaves,
+    as pivot rows in its form.  With x0 + K*Z^k the solutions that
+    :func:`_solve_dense` finds on the columns the core holds, core column j
+    gets the row x_j - sum_t K[t][j] * s_t = x0_j, where s_t is a new free
+    column cols + t.  Returns (rows, k), or None when there is none."""
     rows = sorted(live)
-    cols = sorted({j for i in rows for j in live[i]})
     if not rows:
-        return cols, [], []
-    solved = _solve_dense([[live[i].get(j, 0) for j in cols] for i in rows],
+        return [], 0
+    core_cols = sorted({j for i in rows for j in live[i]})
+    solved = _solve_dense([[live[i].get(j, 0) for j in core_cols] for i in rows],
                           [rhs[i] for i in rows])
-    return None if solved is None else (cols, *solved)
+    if solved is None:
+        return None
+    x0, kernel = solved
+    return [(j, {j: 1, **{cols + t: -k[i] for t, k in enumerate(kernel) if k[i]}}, x0[i])
+            for i, j in enumerate(core_cols)], len(kernel)
 
 
-def _lift(pivots, x, homogeneous=False):
+def _eliminate(A, b, cols):
+    """The integer solutions of A*x = b, x in Z^cols, as (pivots, width):
+    the pivot rows of :func:`_presolve`, then those of :func:`_solve_core`,
+    on width = cols + k columns.  None when there is no solution.  A pivot
+    row holds no column of an earlier pivot, so :func:`_lift` maps each
+    choice of the free columns (those no pivot fixes) to a solution, and
+    every solution is the lift of its own free columns."""
+    reduced = _presolve(A, b, cols)
+    if reduced is None:
+        return None
+    pivots, live, rhs = reduced
+    core = _solve_core(live, rhs, cols)
+    return None if core is None else (pivots + core[0], cols + core[1])
+
+
+def _lift(pivots, x):
     """x with each pivot column set, last pivot first, from the columns its
-    row holds; x holds the core and free columns."""
+    row holds; x holds the free columns, and 0 at every pivot column."""
     for j, row, c in reversed(pivots):
-        x[j] = (0 if homogeneous else c) - sum(a * x[k] for k, a in row.items())
-    return x
-
-
-def _on(cols, core_cols, values):
-    """x in Z^cols with the values on core_cols and 0 elsewhere."""
-    x = [0] * cols
-    for j, v in zip(core_cols, values):
-        x[j] = v
+        x[j] = c - sum(a * x[k] for k, a in row.items())
     return x
 
 
 def solve_integer(A, b, cols):
     """Solve A*x = b over the integers, x in Z^cols.
 
-    A row of A is (column, coefficient) pairs, as in SigmaSystem.  Returns
-    None when unsolvable, otherwise (x0, kernel) where A*x0 = b and kernel
-    is an iterator over a basis of {x : A*x = 0}.  Each basis vector is
-    lifted only when it is read, and the free columns are listed only then,
-    so a caller that drops the kernel pays nothing for it; callers that keep
-    it take ``list(kernel)``.
+    A row of A is (column, coefficient) pairs, as in SigmaSystem, that name
+    each column once and in range(cols); any other row raises
+    DimensionMismatch.  Returns None when unsolvable, otherwise (x0,
+    kernel) where A*x0 = b and kernel is an iterator over a basis of
+    {x : A*x = 0}.  Each basis vector is lifted only when it is read, so a
+    caller that drops the kernel pays nothing for it; callers that keep it
+    take ``list(kernel)``.
 
-    The rows are eliminated by :func:`_presolve` and the core it leaves is
-    solved by :func:`_solve_core`; the columns in no row are free, and x0
-    and the kernel are lifted back through the pivots in reverse.  A column
+    The solutions are :func:`_eliminate`'s pivot rows: x0 is the lift of
+    0 on every free column, and the kernel has one vector per free column
+    j, the lift of the unit vector e_j less x0, cut to Z^cols.  A column
     in no row of A is 0 in x0.
     """
-    reduced = _presolve(A, b, cols)
-    if reduced is None:
+    eliminated = _eliminate(A, b, cols)
+    if eliminated is None:
         return None
-    pivots, live, rhs = reduced
-    core = _solve_core(live, rhs)
-    if core is None:
-        return None
-    core_cols, core_x0, core_kernel = core
+    pivots, width = eliminated
+    x0 = _lift(pivots, [0] * width)[:cols]
 
     def kernel():
-        for v in core_kernel:
-            yield _lift(pivots, _on(cols, core_cols, v), True)
-        bound = set(core_cols).union(j for j, _, _ in pivots)
-        for j in range(cols):
-            if j not in bound:
-                yield _lift(pivots, [int(k == j) for k in range(cols)], True)
+        fixed = {j for j, _, _ in pivots}
+        for j in range(width):
+            if j not in fixed:
+                x = _lift(pivots, [int(k == j) for k in range(width)])
+                yield [a - c for a, c in zip(x, x0)]
 
-    return _lift(pivots, _on(cols, core_cols, core_x0)), kernel()
+    return x0, kernel()
 
 
 def solve_congruences(A, b, base):
@@ -291,16 +308,16 @@ def solve_congruences(A, b, base):
     multiplier: it lies in one row only, as the last entry of a row by
     ascending column.  This is Sigma's layout, with base = var_count *
     num_coords.  Returns x in Z^base that multiplier values extend to a
-    solution, or None when there is none.
+    solution, or None when there is none.  Past its multiplier, a row
+    follows :func:`solve_integer`'s row rule with cols = base.
 
     A row u.x - d*m = r with multiplier m is the congruence u.x = r
     (mod d), and every other row is an equality.  The equalities are
-    solved over Z by :func:`_presolve` and :func:`_solve_core`.  Each
-    pivot column that a congruence reads is reduced once, mod the lcm D of
-    the moduli, to a form over the columns no pivot fixes
-    (:func:`_pivot_forms`); each congruence, scaled by D/d, reads those
-    forms and the core's x0 + K*s, and the result is solved over Z/D by
-    :func:`_solve_mod`, which never factors D.  The solution is lifted
+    solved over Z by :func:`_eliminate`.  Each pivot column that a
+    congruence reads is reduced once, mod the lcm D of the moduli, to a
+    form over the free columns (:func:`_pivot_forms`); each congruence,
+    scaled by D/d, reads those forms, and the result is solved over Z/D
+    by :func:`_solve_mod`, which never factors D.  The solution is lifted
     over Z, with 0 for every free value.
 
     Proof that this is exact.
@@ -310,14 +327,11 @@ def solve_congruences(A, b, base):
     - Scaling by D/d moves each congruence to Z/D: d | u.x - r iff
       D | (D/d)(u.x - r).  So the congruences ask a system over Z/D, whose
       coefficients matter only mod D.
-    - The equality solutions are x0 + K*Z^k: each pivot column is fixed by
-      the columns after it, the core's solutions are x0 + K*Z^k on its
-      columns (an HNF transform), and the columns in no equality are free.
-      Substituting the pivot rows, last pivot first, writes each pivot
-      column as an integral affine form in the columns no pivot fixes, and
-      it is only needed mod D, as it enters the scaled congruences only;
-      substituting x_core = x0 + K*s then turns each congruence into one
-      over the free columns and s.  The map from (free values, s) to x is
+    - The equality solutions are the lifts of the free columns through
+      :func:`_eliminate`'s pivot rows, the core's among them: substituting
+      them, last pivot first, writes each pivot column as an integral
+      affine form in the free columns, needed mod D only, as it enters the
+      scaled congruences only.  The map from the free values to x is
       integral and onto the equality solutions, so any solution mod D of
       the reduced congruences, read as integers, lifts to an integer x that
       meets every row, and there is one iff the reduced congruences are
@@ -335,28 +349,21 @@ def solve_congruences(A, b, base):
             eq_rhs.append(r)
             continue
         m, a = row[-1]
-        if m in seen or len(row) > 1 and row[-2][0] >= base:
+        if m in seen:
             raise DimensionMismatch("a multiplier column lies in more than one row")
-        if row[0][0] < 0:
-            raise DimensionMismatch("matrix column out of range")
         seen.add(m)
-        congruences.append((row[:-1], r, abs(a)))
-    reduced = _presolve(eq_rows, eq_rhs, base)
-    if reduced is None:
+        congruences.append((_entries(row[:-1], base), r, abs(a)))
+    eliminated = _eliminate(eq_rows, eq_rhs, base)
+    if eliminated is None:
         return None
-    pivots, live, eq_rhs = reduced
-    core = _solve_core(live, eq_rhs)
-    if core is None:
-        return None
-    core_cols, core_x0, core_kernel = core
-    at_core = {j: t for t, j in enumerate(core_cols)}
+    pivots, width = eliminated
     D = lcm(*(d for _, _, d in congruences))
-    form = _pivot_forms(pivots, {j for u, _, _ in congruences for j, _ in u}, D)
+    form = _pivot_forms(pivots, {j for u, _, _ in congruences for j in u}, D)
     mod_rows, mod_rhs = [], []
     for u, r, d in congruences:
         scale = D // d
         row, r = {}, scale * r
-        for j, a in u:
+        for j, a in u.items():
             a *= scale
             if j in form:
                 c, coeffs = form[j]
@@ -365,29 +372,19 @@ def solve_congruences(A, b, base):
                     row[k] = row.get(k, 0) + a * e
             else:
                 row[j] = row.get(j, 0) + a
-        # then x_core = x0 + K*s, with s_t in column base + t
-        on_core = [(at_core[j], row.pop(j)) for j in list(row) if j in at_core]
-        r -= sum(c * core_x0[i] for i, c in on_core)
-        for t, k in enumerate(core_kernel):
-            row[base + t] = sum(c * k[i] for i, c in on_core)
         mod_rows.append(row)
         mod_rhs.append(r)
     y = _solve_mod(mod_rows, mod_rhs, D)
     if y is None:
         return None
-    s = [y.pop(base + t, 0) for t in range(len(core_kernel))]
-    x = _on(base, core_cols, [v + sum(e * k[i] for e, k in zip(s, core_kernel))
-                              for i, v in enumerate(core_x0)])
-    for j, v in y.items():
-        x[j] = v
-    return _lift(pivots, x)
+    return _lift(pivots, [y.get(j, 0) for j in range(width)])[:base]
 
 
 def _pivot_forms(pivots, wanted, D):
     """The reduced form mod D of each pivot column in wanted and of every
     pivot that one reads: j -> (c, coefficients) with x_j = c + the sum of
-    coefficient * x_k (mod D) over columns k that no pivot fixes, for every
-    solution of the pivot rows.  A pivot row x_j + sum a_k x_k = c holds
+    coefficient * x_k (mod D) over the free columns k, for every solution
+    of the pivot rows.  A pivot row x_j + sum a_k x_k = c holds
     only later pivots, so the form of x_j is c - sum a_k * (form of x_k),
     with x_k itself where k is no pivot: the pivots read are found on an
     explicit stack (a chain of pivots can be as long as the system), and
@@ -509,8 +506,8 @@ def _solve_mod(rows, rhs, N):
 
 
 def _solve_dense(A, b):
-    """Solve A*x = b over the integers by one Hermite form, as
-    :func:`solve_integer` does on its core.
+    """Solve A*x = b over the integers by one Hermite form: the core of
+    :func:`_solve_core`, and the tests' reference solve.
 
     With U*A^T = H in Hermite form, A*U^T = H^T is in column echelon form:
     forward substitution along the pivot rows of H gives y with H^T*y = b,

@@ -292,12 +292,10 @@ def markowitz_reference(A, b, cols):
     return x
 
 
-def test_presolve_pivots_in_exact_markowitz_order():
-    """solve_integer gives the x0 of the plain elimination, on seeded sparse
-    systems and on the Sigma of shuffled planted instances over intro_M.nf,
-    so its heap takes the pivots in exactly the least (cost, row, column)
-    order.  The same systems with an empty column beside each column give
-    the same x0 there and 0 in every column in no row."""
+def seeded_sparse_systems():
+    """(A, b, cols): seeded sparse systems, a quarter of them with a random
+    right-hand side, then the Sigma of shuffled planted instances over
+    intro_M.nf at n = 40 and 80."""
     rng = random.Random(37)
     systems = []
     for _ in range(200):
@@ -316,6 +314,16 @@ def test_presolve_pivots_in_exact_markowitz_order():
         system = build_sigma(T, I, h)
         cols = n * system.num_coords + system.num_multipliers
         systems.append((system.matrix, system.rhs, cols))
+    return systems
+
+
+def test_presolve_pivots_in_exact_markowitz_order():
+    """solve_integer gives the x0 of the plain elimination, on seeded sparse
+    systems and on the Sigma of shuffled planted instances over intro_M.nf,
+    so its heap takes the pivots in exactly the least (cost, row, column)
+    order.  The same systems with an empty column beside each column give
+    the same x0 there and 0 in every column in no row."""
+    systems = seeded_sparse_systems()
     for A, b, cols in systems:
         got, ref = solve_integer(A, b, cols), markowitz_reference(A, b, cols)
         assert (got is None) == (ref is None), (A, b)
@@ -327,6 +335,38 @@ def test_presolve_pivots_in_exact_markowitz_order():
             assert got[0] == ref, (A, b)
             assert wide[0] == [a for x in ref for a in (x, 0)] + [0], (A, b)
     assert all(solve_integer(*s) is not None for s in systems[-2:])
+
+
+def check_pivot_form(A, b, cols, rng):
+    """The rows of _eliminate on A*x = b, when solvable, are in pivot-row
+    form: each holds its own column with coefficient 1, and otherwise only
+    later pivot columns and free columns, all below width; and seeded free
+    values lift to a solution.  Returns the core's new column count, or
+    None when unsolvable."""
+    eliminated = zlinalg._eliminate(A, b, cols)
+    if eliminated is None:
+        return None
+    pivots, width = eliminated
+    at = {j: t for t, (j, _, _) in enumerate(pivots)}
+    assert len(at) == len(pivots)
+    for t, (j, row, _) in enumerate(pivots):
+        assert row[j] == 1
+        assert all(0 <= k < width and at.get(k, len(pivots)) > t for k in row if k != j)
+    x = zlinalg._lift(pivots, [0 if j in at else rng.randint(-3, 3) for j in range(width)])
+    assert all(sum(a * x[j] for j, a in row) == r for row, r in zip(A, b))
+    return width - cols
+
+
+def test_elimination_rows_are_in_pivot_row_form():
+    """On the seeded sparse systems and the Sigma of planted intro_M.nf
+    instances, the presolve pivots and the core's rows form one list in
+    pivot-row form, so that _lift solves the system from any free values;
+    some of the cores have a kernel, whose columns come after cols."""
+    rng = random.Random(39)
+    extra = [check_pivot_form(A, b, cols, rng) for A, b, cols in seeded_sparse_systems()]
+    # both intro_M.nf Sigmas are solvable and leave a core with a kernel
+    assert all(extra[-2:])
+    assert sum(k is None for k in extra) > 10 and sum(bool(k) for k in extra) > 50
 
 
 def test_solve_integer_kernel_is_lazy():
@@ -345,14 +385,23 @@ def test_solve_integer_dimension_mismatch(solve_matrix):
     for row in (((0, 1), (2, 3)), ((-1, 1),)):
         with pytest.raises(DimensionMismatch):
             solve_integer([row], [1], 2)
+    # a column named twice
+    with pytest.raises(DimensionMismatch):
+        solve_integer([((0, 1), (0, 1))], [2], 1)
     # solve_congruences: a multiplier column in two rows, two multipliers
-    # in one row, a negative column, a short right-hand side
+    # in one row, a negative column, a short right-hand side, a column
+    # named twice in an equality and in a congruence
     for A, b in ([((0, 1), (2, -3)), ((1, 1), (2, -3))], [0, 0]), \
                 ([((0, 1), (2, -3), (3, -3))], [0]), \
                 ([((-1, 1), (2, -3))], [0]), \
-                ([((0, 1), (2, -3))], []):
+                ([((0, 1), (2, -3))], []), \
+                ([((0, 1), (0, 1))], [2]), \
+                ([((0, 1), (0, 1), (2, -3))], [0]):
         with pytest.raises(DimensionMismatch):
             solve_congruences(A, b, 2)
+    # a congruence column past base that is not the row's multiplier
+    with pytest.raises(DimensionMismatch):
+        solve_congruences([((5, 1), (0, 1), (3, -3))], [1], 3)
 
 
 def mod_brute_force(rows, rhs, N, cols):
@@ -478,6 +527,57 @@ def test_congruences_read_a_long_pivot_chain_once(deadline):
             value = sum(a * x[j] for j, a in row if j < base) - r
             j, a = row[-1]
             assert (value % a if j >= base else value) == 0
+
+
+def core_congruence_system(rng, sat):
+    """Equalities that leave a core: two rows on columns 0 to 4 whose
+    entries have no +-1, so no presolve pivot, and whose kernel has rank 3
+    or more; and a chain x_5 + x_6 = c, ..., x_(5+L) + 2*x_c = c' that the
+    presolve pivots from its head, x_5, down to a core column c.  Then
+    congruences, each with its multiplier column from base, that read core
+    columns directly, the chain's head and, when sat, free columns, met by
+    a planted x when sat.  Returns (A, b, base, count)."""
+    length = rng.randint(1, 6)
+    base = 5 + length + 1 + 3
+    count = rng.randint(2, 5)
+    x = [rng.randint(-5, 5) for _ in range(base)]
+    A = [tuple((j, rng.choice((2, -2, 3, -3, 4, 5))) for j in range(5)) for _ in range(2)]
+    A += [((5 + i, 1), (6 + i, 1)) for i in range(length)]
+    A.append(((rng.randrange(5), 2), (5 + length, 1)))
+    b = [sum(a * x[j] for j, a in row) for row in A]
+    free = range(6 + length, base)
+    for k in range(count):
+        u = {j: rng.choice((1, -1, 2, 3)) for j in rng.sample(range(5), rng.randint(1, 3))}
+        u[5] = rng.choice((1, 2, -1))
+        u.update({j: 1 for j in rng.sample(free, rng.randint(0, 2) if sat else 0)})
+        d = rng.choice((2, 3, 4, 6, 9))
+        A.append(tuple(sorted(u.items())) + ((base + k, -d),))
+        value = sum(a * x[j] for j, a in u.items())
+        b.append(value + d * rng.randint(-2, 2) if sat else rng.randint(-9, 9))
+    return A, b, base, count
+
+
+def test_congruences_read_the_core_directly_and_through_a_chain():
+    """solve_congruences on systems whose congruences read core columns,
+    both directly and through a chain of pivots, with a core kernel of rank
+    3 or more: the equalities' rows are in pivot-row form, the verdict is
+    solve_integer's on the whole system, and each answer meets every
+    equality exactly and every congruence mod d."""
+    rng = random.Random(83)
+    verdicts = Counter()
+    for k in range(300):
+        A, b, base, count = core_congruence_system(rng, k % 2 == 0)
+        equalities = len(A) - count
+        assert check_pivot_form(A[:equalities], b[:equalities], base, rng) >= 3
+        got = solve_congruences(A, b, base)
+        assert (got is None) == (solve_integer(A, b, base + count) is None), (A, b)
+        if got is not None:
+            for row, r in zip(A, b):
+                value = sum(a * got[j] for j, a in row if j < base) - r
+                j, a = row[-1]
+                assert (value % a if j >= base else value) == 0, (A, b)
+        verdicts[got is not None] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 40, verdicts
 
 
 def test_lattice_membership():
