@@ -478,9 +478,9 @@ def generator_walk(M):
 
 
 def enumerate_homs(M, N, tuples=(), allowed=frozenset()):
-    """All monoid homomorphisms M -> N that map every tuple of ``tuples``
-    into ``allowed`` (every hom when there are no tuples), ordered
-    lexicographically by their full image tuples.
+    """The list of all monoid homomorphisms M -> N that map every tuple of
+    ``tuples`` into ``allowed`` (every hom when there are no tuples),
+    ordered lexicographically by their full image tuples.
 
     Generator images are chosen one at a time by :func:`backtrack`.  The
     elements a generator prefix newly reaches take their images along BFS
@@ -490,6 +490,13 @@ def enumerate_homs(M, N, tuples=(), allowed=frozenset()):
     on word length.  A branch is cut only when the coordinates of a tuple
     reached so far lie outside the projection of ``allowed`` onto their
     positions, so no completion of it could map the tuple into ``allowed``.
+
+    No sort follows: backtrack yields the homs in lexicographic order of
+    their generator images, and that is image-tuple order.  gens[k] is the
+    least element that gens[:k] do not reach (:func:`generator_walk`), so
+    the images of gens[:k] fix the image of every element below gens[k].
+    Two homs whose generator images first differ at k thus agree below
+    gens[k], and their image tuples first differ at gens[k], the same way.
     """
     steps = generator_walk(M)[1]
     step_of = {M.identity: -1}
@@ -523,8 +530,8 @@ def enumerate_homs(M, N, tuples=(), allowed=frozenset()):
 
     if not maps_into(-1):
         return []
-    found = [tuple(img) for _ in backtrack([N.elements] * len(steps), accept)]
-    return [MonoidHom(M, N, images) for images in sorted(found)]
+    return [MonoidHom(M, N, tuple(img))
+            for _ in backtrack([N.elements] * len(steps), accept)]
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,17 @@ def _difference_candidates(ops, U):
             yield ops.mul(inv[r], s)
 
 
-def _difference_monoid(ops, U):
+def _difference_monoid(ops, U, within=None):
     """(gens, S): the candidates that lie outside the submonoid generated by
     the ones kept before them, and the submonoid S = <U^-1 x U> they
     generate.  In a commutative monoid <S, d> = S x <d>, so S grows by
-    closing it under d alone."""
+    closing it under d alone.  Given a set ``within``, it returns None at
+    the first kept d with U x d not inside ``within``, before S grows by d."""
     gens, S = [], frozenset((ops.identity,))
     for d in _difference_candidates(ops, U):
         if d not in S:
+            if within is not None and any(ops.mul(u, d) not in within for u in U):
+                return None
             gens.append(d)
             S = closed_under(ops, S, (d,))
     return gens, S
@@ -140,24 +143,18 @@ def is_coset(ops, U):
     conversely [U] = U gives U x (U^-1 x U) <= [U] = U.  The candidates
     that :func:`coset_closure` keeps generate <U^-1 x U>, so [U] = U
     exactly when U x g <= U for each kept g: U closed under them adds
-    nothing.  Each g is checked before the submonoid grows by it, so a set
-    that is not a coset is refused at its first product outside U, before
-    its closure, which may be far larger than U, is built.
+    nothing.  :func:`_difference_monoid` checks each g against U before S
+    grows by it, so a set that is not a coset is refused at its first
+    product outside U, before its possibly far larger closure is built.
 
     The empty set is a coset; a set with an irregular member is not.
     """
     _check_commutative(ops)
     U = frozenset(U)
-    S = frozenset((ops.identity,))
     try:
-        for d in _difference_candidates(ops, U):
-            if d not in S:
-                if any(ops.mul(u, d) not in U for u in U):
-                    return False
-                S = closed_under(ops, S, (d,))
+        return _difference_monoid(ops, U, within=U) is not None
     except NotRegular:
         return False
-    return True
 
 
 def all_cosets(M):

@@ -3,14 +3,16 @@
 promise minor conditions to instances.
 """
 
+from functools import reduce
 from itertools import combinations, product
 
 from .core import (
     CartesianPower,
     backtrack,
     commute,
+    direct_product,
+    enumerate_homs,
     generated_subset,
-    is_hom_map,
 )
 from .cosets import setprod, tensor_power
 from .errors import (
@@ -110,8 +112,8 @@ def minor(f, sigma, m=None):
 
 @record
 class TableMap:
-    """An explicit finite map M^arity -> N, for brute-force polymorphism
-    work at small sizes."""
+    """An explicit finite map M^arity -> N, for polymorphism work at small
+    sizes."""
 
     arity: int
     table: dict
@@ -239,8 +241,10 @@ def _table_minor(f, phi, m, M):
 
 
 def all_table_polymorphisms(relM, relN, arity):
-    """Every polymorphism M^arity -> N as an explicit table, by brute force:
-    the maps that preserve the identity, the product and the relation."""
+    """Every polymorphism M^arity -> N as an explicit table, in the order
+    of :func:`core.enumerate_homs`: the homs from the power, a finite monoid
+    numbered in ``product(M.elements, repeat=arity)`` order, into N that
+    map relM's relation, arity rows at a time column by column, into relN's."""
     check_pair(relM, relN)
     M, N = finite_carrier(relM.carrier, "table polymorphism search"), relN.carrier
     keys = list(product(M.elements, repeat=arity))
@@ -249,16 +253,14 @@ def all_table_polymorphisms(relM, relN, arity):
     if (M.size ** (2 * arity) > SEARCH_CAP
             or (len(relM.relation) or 1) ** arity > SEARCH_CAP):
         raise TooLarge("table polymorphism check exceeds the cap")
-    P = CartesianPower(M, arity)
-    out = []
-    for values in product(N.elements, repeat=len(keys)):
-        t = dict(zip(keys, values))
-        if (is_hom_map(P, N, t)
-                and all(tuple(t[tuple(row[j] for row in rows)]
-                              for j in range(relN.arity)) in relN.relation
-                        for rows in product(relM.relation, repeat=arity))):
-            out.append(TableMap(arity, t))
-    return out
+    if arity < 1:
+        raise ValueError("power must be at least 1")
+    index = {k: i for i, k in enumerate(keys)}
+    columns = [tuple(index[tuple(row[j] for row in rows)] for j in range(relN.arity))
+               for rows in product(relM.relation, repeat=arity)]
+    homs = enumerate_homs(reduce(direct_product, [M] * arity), N,
+                          columns, relN.relation)
+    return [TableMap(arity, dict(zip(keys, h.images))) for h in homs]
 
 
 def is_satisfiable_in_pol(cond, relM, relN):

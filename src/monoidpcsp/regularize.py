@@ -20,7 +20,6 @@ from .core import (
     idempotents,
     is_commutative,
     is_completely_regular,
-    is_hom_map,
     is_semilattice,
     make_hom,
     submonoid,
@@ -129,23 +128,16 @@ def ab_reg(M):
 
 def verify_universal_property(q, targets):
     """True iff every hom from q.source into each commutative completely
-    regular target factors (necessarily uniquely) through q.projection."""
+    regular target factors (necessarily uniquely) through q.projection:
+    as the projection pi is onto, a hom factors through pi exactly when it
+    is g o pi for a hom g from the quotient, and each g o pi is a hom."""
     for T in targets:
         if not (is_commutative(T) and is_completely_regular(T)):
             raise TargetNotRegularCommutative(
                 "universal-property targets must be commutative and regular")
-        for f in enumerate_homs(q.source, T):
-            lifted = [None] * q.quotient.size
-            ok = True
-            for a in q.source.elements:
-                c = q.class_of[a]
-                if lifted[c] is None:
-                    lifted[c] = f(a)
-                elif lifted[c] != f(a):
-                    ok = False
-                    break
-            if not ok or not is_hom_map(q.quotient, T, tuple(lifted)):
-                return False
+        lifted = {g.compose(q.projection) for g in enumerate_homs(q.quotient, T)}
+        if set(enumerate_homs(q.source, T)) != lifted:
+            return False
     return True
 
 

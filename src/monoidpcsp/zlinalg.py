@@ -113,11 +113,11 @@ def smith_normal_form(A):
 
 def _entries(row, cols):
     """A row of (column, coefficient) pairs as a dict, under the one row
-    rule of both integer solves: each column lies in range(cols) and is
-    named once.  A row that breaks it raises DimensionMismatch."""
+    rule of both integer solves: each column lies in range(cols), is named
+    once and has a non-zero coefficient, else DimensionMismatch is raised."""
     entries = dict(row)
-    if len(entries) != len(row) or entries and (min(entries) < 0 or max(entries) >= cols):
-        raise DimensionMismatch("a row names a column twice or out of range")
+    if len(entries) != len(row) or not all(0 <= j < cols and a for j, a in row):
+        raise DimensionMismatch("a row names a column twice, out of range or with 0")
     return entries
 
 
@@ -275,9 +275,9 @@ def solve_integer(A, b, cols):
     """Solve A*x = b over the integers, x in Z^cols.
 
     A row of A is (column, coefficient) pairs, as in SigmaSystem, that name
-    each column once and in range(cols); any other row raises
-    DimensionMismatch.  Returns None when unsolvable, otherwise (x0,
-    kernel) where A*x0 = b and kernel is an iterator over a basis of
+    each column once, in range(cols), with a non-zero coefficient; any other
+    row raises DimensionMismatch.  Returns None when unsolvable, otherwise
+    (x0, kernel) where A*x0 = b and kernel is an iterator over a basis of
     {x : A*x = 0}.  Each basis vector is lifted only when it is read, so a
     caller that drops the kernel pays nothing for it; callers that keep it
     take ``list(kernel)``.
@@ -305,11 +305,12 @@ def solve_integer(A, b, cols):
 
 def solve_congruences(A, b, base):
     """Solve A*x = b over the integers, where each column from base up is a
-    multiplier: it lies in one row only, as the last entry of a row by
-    ascending column.  This is Sigma's layout, with base = var_count *
-    num_coords.  Returns x in Z^base that multiplier values extend to a
-    solution, or None when there is none.  Past its multiplier, a row
-    follows :func:`solve_integer`'s row rule with cols = base.
+    multiplier: it lies in one row only, with a non-zero coefficient, as
+    the last entry of a row by ascending column.  This is Sigma's layout,
+    with base = var_count * num_coords.  Returns x in Z^base that
+    multiplier values extend to a solution, or None when there is none.
+    Past its multiplier, a row follows :func:`solve_integer`'s row rule
+    with cols = base.
 
     A row u.x - d*m = r with multiplier m is the congruence u.x = r
     (mod d), and every other row is an equality.  The equalities are
@@ -349,8 +350,8 @@ def solve_congruences(A, b, base):
             eq_rhs.append(r)
             continue
         m, a = row[-1]
-        if m in seen:
-            raise DimensionMismatch("a multiplier column lies in more than one row")
+        if m in seen or not a:
+            raise DimensionMismatch("a multiplier column is 0 or in more than one row")
         seen.add(m)
         congruences.append((_entries(row[:-1], base), r, abs(a)))
     eliminated = _eliminate(eq_rows, eq_rhs, base)

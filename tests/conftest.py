@@ -101,8 +101,8 @@ def intro_m_template():
 def deadline():
     """``with deadline(seconds): ...`` fails the test when the body is still
     running after that many seconds, so an elimination that never returns
-    fails instead of hanging the suite.  Where the platform has no SIGALRM
-    the body runs without a deadline."""
+    fails instead of hanging the suite.  The seconds may be a fraction.
+    Where the platform has no SIGALRM the body runs without a deadline."""
 
     @contextmanager
     def arm(seconds):
@@ -114,11 +114,11 @@ def deadline():
             pytest.fail(f"still running after {seconds} s", pytrace=False)
 
         previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         try:
             yield
         finally:
-            signal.alarm(0)
+            signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
     return arm

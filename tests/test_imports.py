@@ -45,3 +45,31 @@ def test_unused_imports_sees_every_kind_of_use():
     source = ("import os.path\nfrom x import a, b as c, d, e\n"
               "__all__ = ['d']\nos.path.join(a)\n\ndef f():\n    from y import g\n")
     assert unused_imports(source) == {"c", "e", "g"}
+
+
+def names_in(source):
+    """Every identifier source reads, binds, imports or reads as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    return names
+
+
+def test_only_core_names_is_hom_map():
+    """enumerate_homs is the one hom search: outside core, where make_hom
+    checks a given map, no module tests candidate maps with is_hom_map."""
+    assert "is_hom_map" in names_in("from .core import is_hom_map as h\n")
+    assert "is_hom_map" in names_in("core.is_hom_map(M, N, t)\n")
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                if "is_hom_map" in names_in(fh.read()):
+                    found.append(fname)
+    assert found == ["core.py"]

@@ -13,6 +13,7 @@ from monoidpcsp.core import (
     flipflop1,
     generated_subset,
     generator_walk,
+    is_hom_map,
     make_hom,
     semilattice_chain,
 )
@@ -258,6 +259,72 @@ def test_projections_only_pair():
     cond = make_minor_condition([("f", 2)], [("g", 2)],
                                 [("f", "g", (0, 1)), ("f", "g", (1, 0))])
     assert not is_satisfiable_in_pol(cond, T, T)
+
+
+def brute_force_table_polymorphisms(relM, relN, arity):
+    """Every table on M^arity, in lexicographic order of its values, that
+    is a hom of the CartesianPower into N and maps relM's relation, arity
+    rows at a time column by column, into relN's."""
+    M, N = relM.carrier, relN.carrier
+    keys = list(product(M.elements, repeat=arity))
+    P = CartesianPower(M, arity)
+    out = []
+    for values in product(N.elements, repeat=len(keys)):
+        t = dict(zip(keys, values))
+        if (is_hom_map(P, N, t)
+                and all(tuple(t[tuple(row[j] for row in rows)]
+                              for j in range(relN.arity)) in relN.relation
+                        for rows in product(relM.relation, repeat=arity))):
+            out.append(t)
+    return out
+
+
+def seeded_polymorphism_cases(rng):
+    """(relM, relN, arity) over pairs of monoid_sweep(3): relations of
+    arity 1 and 2, relN holding the image of relM under a drawn hom and a
+    few drawn tuples, and polymorphism arity 1, and 2 where the tables
+    number at most 512."""
+    sweep = monoid_sweep(3)
+    for M in sweep:
+        for N in sweep:
+            for r in (1, 2):
+                rowsM = list(product(M.elements, repeat=r))
+                rowsN = list(product(N.elements, repeat=r))
+                relM = rng.sample(rowsM, rng.randint(1, len(rowsM)))
+                h = rng.choice(enumerate_homs(M, N))
+                relN = {tuple(map(h, t)) for t in relM}
+                relN.update(rng.sample(rowsN, rng.randint(0, len(rowsN) - 1)))
+                TM = make_finite_template(M, r, relM)
+                TN = make_finite_template(N, r, relN)
+                yield TM, TN, 1
+                if N.size ** (M.size ** 2) <= 512:
+                    yield TM, TN, 2
+
+
+def test_table_polymorphisms_match_brute_force():
+    """all_table_polymorphisms returns the tables of the brute-force
+    search, in its order, on a seeded corpus."""
+    found = []
+    for relM, relN, arity in seeded_polymorphism_cases(random.Random(33)):
+        expected = brute_force_table_polymorphisms(relM, relN, arity)
+        polys = all_table_polymorphisms(relM, relN, arity)
+        assert [p.table for p in polys] == expected, (relM, relN, arity)
+        assert all(p.arity == arity for p in polys)
+        found.append(len(polys))
+    assert min(found) >= 1 and max(found) > 1
+
+
+def test_table_polymorphisms_at_arity_four_search_homs(deadline):
+    """Over (Z/2, odd-sum triples) the arity-4 polymorphisms are the sums
+    of an odd number of arguments, 8 of the 2^16 tables; they are found as
+    homs of the power, not by trying every table."""
+    T = make_finite_template(cyclic(2), 3, sum_triples(2, 1))
+    with deadline(0.25):
+        polys = all_table_polymorphisms(T, T, 4)
+    odd = [s for s in product((0, 1), repeat=4) if sum(s) % 2]
+    assert sorted(tuple(p.table[k] for k in sorted(p.table)) for p in polys) == \
+        sorted(tuple(sum(a * x for a, x in zip(s, k)) % 2
+                     for k in product((0, 1), repeat=4)) for s in odd)
 
 
 def test_pmc_reduce_trivial_condition_satisfiable():

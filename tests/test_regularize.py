@@ -164,6 +164,33 @@ def test_universal_property_detects_wrong_quotient():
     assert not verify_universal_property(q, [cyclic(3)])
 
 
+def factors_by_lifting(q, T):
+    """The lift definition of the universal property: every hom from
+    q.source into T is constant on the classes of q.projection."""
+    return all(len({f(a) for a in q.source.elements if q.class_of[a] == c}) == 1
+               for f in enumerate_homs(q.source, T)
+               for c in range(q.quotient.size))
+
+
+def test_universal_property_matches_the_lift_definition():
+    """On ab_reg and on the one-class quotient of each monoid of
+    monoid_sweep(3), against each target of commutative_regular_sweep(3),
+    the comparison of hom sets agrees with lifting each hom by hand."""
+    from monoidpcsp.regularize import _quotient_from_roots
+    targets = commutative_regular_sweep(3)
+    verdicts = set()
+    for M in monoid_sweep(3):
+        collapsed = _quotient_from_roots(
+            M, congruence_closure(M, [(0, a) for a in M.elements]))
+        assert collapsed.quotient.size == 1
+        for q in (ab_reg(M), collapsed):
+            for T in targets:
+                verdict = verify_universal_property(q, [T])
+                assert verdict == factors_by_lifting(q, T), (M.table, T.table)
+                verdicts.add((q is collapsed, verdict))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
 def test_make_normal_form_validates_monotonicity():
     N = semilattice_chain(2)
     from monoidpcsp.zlinalg import lattice_from_generators

@@ -402,6 +402,13 @@ def test_solve_integer_dimension_mismatch(solve_matrix):
     # a congruence column past base that is not the row's multiplier
     with pytest.raises(DimensionMismatch):
         solve_congruences([((5, 1), (0, 1), (3, -3))], [1], 3)
+    # a coefficient 0: on a multiplier, on an equality's last entry and in
+    # solve_integer
+    for A in ([((0, 1), (2, 0))], [((0, 1), (1, 0))]):
+        with pytest.raises(DimensionMismatch):
+            solve_congruences(A, [1], 2)
+    with pytest.raises(DimensionMismatch):
+        solve_integer([((0, 1), (1, 0))], [1], 2)
 
 
 def mod_brute_force(rows, rhs, N, cols):
