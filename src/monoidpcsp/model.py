@@ -9,11 +9,16 @@ the same way: ``T.carrier.mul(a, b)``, ``T.carrier.identity``, element
 ``==`` and ``t in T.relation``.
 
 Each input rule has one home here: ``parse_ints`` reads the integer fields
-of every line of the text formats, ``finite_carrier`` refuses a normal-form
+of every line of the text formats (a carrier's element table reads the
+canonical spellings of its elements first, in table rows and tuple lines,
+and hands every line it misses to ``parse_ints``), ``make_finite_template``
+checks a finite relation, ``finite_carrier`` refuses a normal-form
 carrier where a finite one is needed, ``check_pair`` checks a promise pair
 (relN finite, one arity), and ``check_arities`` checks the relation
 constraints of an instance against a template.
 """
+
+from itertools import chain
 
 from .core import backtrack, monoid_from_keyword, validate_monoid
 from .errors import (
@@ -156,15 +161,18 @@ def check_pair(relM, relN):
 def make_finite_template(M, arity, tuples):
     if arity < 1:
         raise ValidationError("arity must be at least 1")
-    rel = set()
-    for t in tuples:
-        t = tuple(t)
-        if len(t) != arity:
-            raise ArityMismatch(f"tuple {t} does not have arity {arity}")
-        if any(not 0 <= a < M.size for a in t):
-            raise ValidationError(f"tuple {t} is not over the carrier")
-        rel.add(t)
-    return Template(M, arity, frozenset(rel))
+    tuples = list(map(tuple, tuples))
+    # one bulk check; only a failure walks the tuples, in input order, for
+    # the first bad one
+    if not (set(map(len, tuples)) <= {arity}
+            and set(chain.from_iterable(tuples)) <= set(M.elements)):
+        size = M.size
+        for t in tuples:
+            if len(t) != arity:
+                raise ArityMismatch(f"tuple {t} does not have arity {arity}")
+            if any(not 0 <= a < size for a in t):
+                raise ValidationError(f"tuple {t} is not over the carrier")
+    return Template(M, arity, frozenset(tuples))
 
 
 def _embed_slice(vec, slot, arity, q):
@@ -284,12 +292,10 @@ def oracle_solve(T, I, budget=DEFAULT_ORACLE_BUDGET):
 
 def content_lines(text):
     """The (line number, tokens) of each line with content, comments cut."""
-    out = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((no, line.split()))
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [(no, toks) for no, toks in enumerate(map(str.split, lines), 1) if toks]
 
 
 class _Cursor:
@@ -347,10 +353,36 @@ def _count(no, value, what):
         raise ParseError(no, f"{what} {value} is negative")
 
 
+def _element_table(elements):
+    """The element table of a carrier: each element under its canonical
+    spelling, the decimal digits that ``str`` gives it."""
+    return dict(zip(map(str, elements), elements))
+
+
+def _read_elements(lines, skip, count, table):
+    """The fields after the first skip tokens of each (line number, tokens)
+    of lines, as tuples of count values.  The element table reads each
+    line in one call; a line it does not read in full (a token it lacks, or
+    the wrong count) goes through parse_ints, so a non-canonical spelling
+    keeps its value and a bad token its error.  A line the table reads in
+    full has the values parse_ints gives it."""
+    get = table.get
+    rows = [tuple(map(get, toks[skip:])) for _, toks in lines]
+    return [row if len(row) == count and None not in row
+            else tuple(parse_ints(no, toks[skip:], count))
+            for row, (no, toks) in zip(rows, lines)]
+
+
 def _parse_table(cur, keyword):
     """A Cayley table: a '<keyword> <size> <identity>' header and its rows."""
     size, identity = _fields(cur, keyword, 2)
-    rows = [tuple(parse_ints(*cur.take(), size)) for _ in range(size)]
+    # the lines left bound the rows and the element table, so size sizes
+    # no allocation
+    lines = cur.lines[cur.pos:cur.pos + max(size, 0)]
+    cur.pos += len(lines)
+    rows = _read_elements(lines, 0, size, _element_table(range(len(lines))))
+    if len(lines) < size:
+        cur.take()  # raises: the input ends inside the table
     try:
         return validate_monoid(rows, identity)
     except Exception as e:
@@ -419,10 +451,14 @@ def _parse_carrier(cur):
 
 
 def _parse_rel_finite(cur, M, arity):
-    tuples = []
-    while not cur.done() and cur.peek()[1][0] == "tuple":
-        tuples.append(tuple(_fields(cur, "tuple", arity)))
-    return make_finite_template(M, arity, tuples)
+    """The run of 'tuple' lines after a rel header, read in one pass."""
+    lines, start = cur.lines, cur.pos
+    stop = start
+    while stop < len(lines) and lines[stop][1][0] == "tuple":
+        stop += 1
+    cur.pos = stop
+    return make_finite_template(M, arity, _read_elements(
+        lines[start:stop], 1, arity, _element_table(M.elements)))
 
 
 def _parse_rel_nf(cur, NF, arity):
@@ -485,8 +521,7 @@ def parse_instance(text):
     cur = _Cursor(text)
     (var_count,) = _fields(cur, "instance", 1)
     constraints = []
-    while not cur.done():
-        no, toks = cur.take()
+    for no, toks in cur.lines[cur.pos:]:
         kind = toks[0]
         if kind == "MUL":
             constraints.append(Product(*parse_ints(no, toks[1:], 3)))

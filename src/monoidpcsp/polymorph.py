@@ -13,6 +13,7 @@ from .core import (
     direct_product,
     enumerate_homs,
     generated_subset,
+    generator_walk,
 )
 from .cosets import setprod, tensor_power
 from .errors import (
@@ -247,19 +248,22 @@ def all_table_polymorphisms(relM, relN, arity):
     map relM's relation, arity rows at a time column by column, into relN's."""
     check_pair(relM, relN)
     M, N = finite_carrier(relM.carrier, "table polymorphism search"), relN.carrier
-    keys = list(product(M.elements, repeat=arity))
-    if N.size ** len(keys) > SEARCH_CAP:
-        raise TooLarge("polymorphism enumeration exceeds the cap")
+    # the caps bound what the search builds: the power's table, the
+    # relation columns, and the generator images it tries times the
+    # |M|^arity images that each hom it may return holds
     if (M.size ** (2 * arity) > SEARCH_CAP
             or (len(relM.relation) or 1) ** arity > SEARCH_CAP):
         raise TooLarge("table polymorphism check exceeds the cap")
     if arity < 1:
         raise ValueError("power must be at least 1")
+    power = reduce(direct_product, [M] * arity)
+    keys = list(product(M.elements, repeat=arity))
+    if N.size ** len(generator_walk(power)[0]) * len(keys) > SEARCH_CAP:
+        raise TooLarge("polymorphism enumeration exceeds the cap")
     index = {k: i for i, k in enumerate(keys)}
     columns = [tuple(index[tuple(row[j] for row in rows)] for j in range(relN.arity))
                for rows in product(relM.relation, repeat=arity)]
-    homs = enumerate_homs(reduce(direct_product, [M] * arity), N,
-                          columns, relN.relation)
+    homs = enumerate_homs(power, N, columns, relN.relation)
     return [TableMap(arity, dict(zip(keys, h.images))) for h in homs]
 
 

@@ -120,6 +120,82 @@ def test_associativity_check_on_chains_where_every_element_generates():
         assert validation_triple(table, 0) is not None
 
 
+def first_bad_entry_error(table, identity):
+    """The reference: the message of the first shape or range fault,
+    walking the rows in order and each row from the left, then the
+    identity's range, or None."""
+    n = len(table)
+    for row in table:
+        if len(row) != n:
+            return "table is not square"
+        for v in row:
+            if not 0 <= v < n:
+                return f"table entry {v} out of range"
+    if not 0 <= identity < n:
+        return f"identity index {identity} out of range"
+    return None
+
+
+def test_validate_monoid_names_the_first_bad_entry_in_row_order():
+    """Tables with two or more faults (entries out of range, short or long
+    rows) name the first one in row order, as the walk does."""
+    rng = random.Random(34)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        table = [list(cyclic(n).table[a]) for a in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randrange(n)
+            fault = rng.choice(["high", "low", "short", "long"])
+            if fault == "high" and table[a]:
+                table[a][rng.randrange(len(table[a]))] = n + rng.randrange(3)
+            elif fault == "low" and table[a]:
+                table[a][rng.randrange(len(table[a]))] = -1 - rng.randrange(3)
+            elif fault == "short" and table[a]:
+                table[a].pop()
+            else:
+                table[a].append(0)
+        identity = rng.choice([0, 0, n, -1])
+        expected = first_bad_entry_error(table, identity)
+        try:
+            validate_monoid(table, identity)
+            got = None
+        except (NoIdentity, NotAssociative):
+            got = None
+        except MonoidError as e:
+            got = str(e)
+        assert got == expected, (table, identity)
+        seen.add(expected and " ".join(expected.split()[:2]))
+    assert seen == {"table is", "table entry", "identity index", None}
+
+
+def test_validate_monoid_names_the_first_element_the_identity_fails():
+    rng = random.Random(35)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        table = [list(row) for row in cyclic(n).table]
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randrange(1, n)
+            if rng.random() < 0.5:
+                table[0][a] = (a + 1) % n
+            else:
+                table[a][0] = (a + 1) % n
+        witness = next(a for a in range(n) if table[0][a] != a or table[a][0] != a)
+        with pytest.raises(NoIdentity) as info:
+            validate_monoid(table, 0)
+        assert info.value.witness == witness
+
+
+def test_validate_monoid_accepts_the_one_element_table():
+    """With one element every row and column has one entry: the table
+    [[0]] is the trivial monoid, and [[1]] names its entry out of range."""
+    M = validate_monoid([[0]], 0)
+    assert M == cyclic(1) and M.size == 1
+    assert validate_monoid(((0,),), 0) == M
+    with pytest.raises(MonoidError, match="table entry 1 out of range"):
+        validate_monoid([[1]], 0)
+
+
 def test_green_preorder_is_reflexive_and_transitive():
     for M in (flipflop1(), null_extension(), cyclic(4)):
         for a in M.elements:

@@ -73,3 +73,38 @@ def test_only_core_names_is_hom_map():
                 if "is_hom_map" in names_in(fh.read()):
                     found.append(fname)
     assert found == ["core.py"]
+
+
+def int_reads_outside(source, function):
+    """The lines where source reads the name ``int`` outside the function
+    of that name, other than as a type: an annotation, or the class
+    argument of ``isinstance``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            allowed.update(map(id, ast.walk(node)))
+        elif isinstance(node, ast.AnnAssign):
+            allowed.update(map(id, ast.walk(node.annotation)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            allowed.update(map(id, ast.walk(node.args[1])))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "int"
+                  and id(node) not in allowed)
+
+
+def test_only_parse_ints_reads_integers():
+    """parse_ints is the one integer reader of the text formats: in model
+    and polymorph the name int occurs only inside it, apart from type
+    tests and annotations, so the element table that reads canonical
+    fields cannot grow into a second integer rule."""
+    assert int_reads_outside(
+        "def parse_ints(t):\n    return int(t)\n"
+        "def g(t):\n    x: int = 0\n    return isinstance(t, int)\n", "parse_ints") == []
+    assert int_reads_outside(
+        "def g(ts):\n    return list(map(int, ts))\n"
+        "def h(t):\n    return int(t)\n", "parse_ints") == [2, 4]
+    for fname in ("model.py", "polymorph.py"):
+        with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+            assert int_reads_outside(fh.read(), "parse_ints") == [], fname

@@ -29,6 +29,7 @@ from monoidpcsp.model import (
     serialize_instance,
 )
 from monoidpcsp.polymorph import (
+    SEARCH_CAP,
     HomPolymorphism,
     all_table_polymorphisms,
     find_block_symmetric,
@@ -325,6 +326,44 @@ def test_table_polymorphisms_at_arity_four_search_homs(deadline):
     assert sorted(tuple(p.table[k] for k in sorted(p.table)) for p in polys) == \
         sorted(tuple(sum(a * x for a, x in zip(s, k)) % 2
                      for k in product((0, 1), repeat=4)) for s in odd)
+
+
+def test_table_polymorphism_cap_bounds_the_generator_images(deadline):
+    """The cap bounds the search and its output, N.size ** (the power's
+    generator count) times the |M|^arity images of each hom, not the
+    N.size ** |M|^arity tables: (Z/2, odd-sum triples) at arity 5 has 2^32
+    tables but 5 generators, and returns its 16 polymorphisms, the sums of
+    an odd number of arguments.  From Z/2 into Z/8 at arity 5 the 8^5
+    generator images times 2^5 keys exceed the cap, and the refusal comes
+    before any search."""
+    T = make_finite_template(cyclic(2), 3, sum_triples(2, 1))
+    with deadline(1):
+        polys = all_table_polymorphisms(T, T, 5)
+    odd = [s for s in product((0, 1), repeat=5) if sum(s) % 2]
+    assert len(polys) == 16
+    assert sorted(tuple(p.table[k] for k in sorted(p.table)) for p in polys) == \
+        sorted(tuple(sum(a * x for a, x in zip(s, k)) % 2
+                     for k in product((0, 1), repeat=5)) for s in odd)
+    relM = make_finite_template(cyclic(2), 1, [(0,), (1,)])
+    relN = make_finite_template(cyclic(8), 1, [(a,) for a in range(8)])
+    assert 8 ** 5 * 2 ** 5 > SEARCH_CAP >= 8 ** 4 * 2 ** 4
+    with deadline(0.25), pytest.raises(TooLarge, match="polymorphism enumeration"):
+        all_table_polymorphisms(relM, relN, 5)
+    # each of the 4 generators goes to 0 or 4, the elements of Z/8 of
+    # order at most 2
+    assert len(all_table_polymorphisms(relM, relN, 4)) == 2 ** 4
+
+
+def test_table_polymorphism_cap_bounds_the_returned_tables(deadline):
+    """From Z/2 into Z/2 x Z/2 at arity 8 the search has 4^8 generator
+    images, under the cap, but would return 4^8 tables of 2^8 entries
+    each; the cap counts those entries and refuses before any search."""
+    relM = make_finite_template(cyclic(2), 1, [(0,), (1,)])
+    V = direct_product(cyclic(2), cyclic(2))
+    relN = make_finite_template(V, 1, [(a,) for a in V.elements])
+    assert 4 ** 8 <= SEARCH_CAP < 4 ** 8 * 2 ** 8
+    with deadline(0.5), pytest.raises(TooLarge, match="polymorphism enumeration"):
+        all_table_polymorphisms(relM, relN, 8)
 
 
 def test_pmc_reduce_trivial_condition_satisfiable():
