@@ -21,7 +21,6 @@ from .model import Template, check_pair, finite_carrier, is_nf_template
 # nf_hom_image and nf_relation_image live beside NFHom and are re-exported here
 from .record import record
 from .regularize import ab_reg, homs_into, nf_hom_image, nf_relation_image  # noqa: F401
-from .solver import projected_semilattice_template
 
 
 @record
@@ -65,14 +64,12 @@ def classify(relM, relN):
     :func:`_try_witness` is the witness; the homs after it are never built.
 
     Raises PromiseViolation when relM is finite and admits no relational
-    homomorphism into relN.  For normal-form relM with a coset relation, a
-    relational homomorphism exists exactly in the tractable case, so the
-    absence of one is reported as NPHard; a normal-form relM whose projected
-    relation is not a coset raises NotACoset, as the solver does.
+    homomorphism into relN.  The relation of a normal-form relM is a coset,
+    as :func:`model.make_nf_template` builds it only then, and for such a
+    relM a relational homomorphism exists exactly in the tractable case, so
+    the absence of one is reported as NPHard.
     """
     nf = is_nf_template(relM)
-    if nf:
-        projected_semilattice_template(relM)
     check_pair(relM, relN)
     h = None
     for h in homs_into(relM.carrier, relN.carrier, relM.relation, relN.relation):

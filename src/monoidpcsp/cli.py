@@ -249,7 +249,7 @@ def main(argv=None):
     except (BudgetExceeded, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (MonoidError, OSError) as e:
+    except (MonoidError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

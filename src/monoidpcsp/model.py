@@ -12,7 +12,8 @@ Each input rule has one home here: ``parse_ints`` reads the integer fields
 of every line of the text formats (a carrier's element table reads the
 canonical spellings of its elements first, in table rows and tuple lines,
 and hands every line it misses to ``parse_ints``), ``make_finite_template``
-checks a finite relation, ``finite_carrier`` refuses a normal-form
+checks a finite relation, ``make_nf_template`` checks that a normal-form
+relation is a coset, ``finite_carrier`` refuses a normal-form
 carrier where a finite one is needed, ``check_pair`` checks a promise pair
 (relN finite, one arity), and ``check_arities`` checks the relation
 constraints of an instance against a template.
@@ -24,6 +25,7 @@ from .core import backtrack, monoid_from_keyword, validate_monoid
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
+    NotACoset,
     ParseError,
     TooLarge,
     ValidationError,
@@ -39,6 +41,7 @@ from .zlinalg import (
     LatticeCoset,
     coset_member,
     lattice_from_generators,
+    lattice_member,
     reduce_mod_lattice,
 )
 
@@ -112,23 +115,19 @@ class Block:
 
 @record
 class BlockRelation:
-    """A normal-form relation: the union of its blocks.  Iterating yields the
-    blocks; ``in`` tests a tuple of NFElements."""
+    """A normal-form relation that is a coset: one lattice coset of the
+    concatenated vectors per d-tuple, keyed by it.  Only
+    :func:`make_nf_template` builds one.  Iterating yields the blocks; ``in``
+    tests a tuple of NFElements by one lookup of its d-tuple."""
 
-    blocks: tuple
+    cosets: dict  # d-tuple -> LatticeCoset
 
     def __iter__(self):
-        return iter(self.blocks)
+        return map(Block, self.cosets, self.cosets.values())
 
     def __contains__(self, elems):
-        d_tuple = tuple(x.d for x in elems)
-        for block in self.blocks:
-            if block.d_tuple != d_tuple:
-                continue
-            flat = [a for x in elems for a in x.v]
-            if coset_member(flat, block.coset):
-                return True
-        return False
+        coset = self.cosets.get(tuple(x.d for x in elems))
+        return coset is not None and coset_member([a for x in elems for a in x.v], coset)
 
 
 @record
@@ -182,29 +181,59 @@ def _embed_slice(vec, slot, arity, q):
 
 
 def _saturate_block(NF, arity, d_tuple, offset, generators):
-    """Close a block's lattice under the per-coordinate relation lattices and
-    canonicalize the offset."""
+    """A block's coset: its lattice closed under the per-coordinate relation
+    lattices, and its offset canonicalized."""
     q = NF.num_coords
     gens = [list(g) for g in generators]
     for i, d in enumerate(d_tuple):
         for row in NF.xi[d].basis:
             gens.append(_embed_slice(row, i, arity, q))
     L = lattice_from_generators(arity * q, gens)
-    off = tuple(reduce_mod_lattice(list(offset), L))
-    return Block(tuple(d_tuple), LatticeCoset(off, L))
+    return LatticeCoset(tuple(reduce_mod_lattice(list(offset), L)), L)
 
 
 def make_nf_template(NF, arity, blocks):
-    """blocks: iterable of (d_tuple, offset, generators)."""
+    """The template over NF whose relation R is the union of the blocks,
+    each a (d_tuple, offset, generators): the elements over the d-tuple
+    whose concatenated vector lies in offset + <generators>.  This is the
+    one home of the rule that R is a coset; NotACoset is raised unless
+
+    (a) each d-tuple has one block B_d = c_d + L_d (an identical repeat is
+        dropped),
+    (b) the d-tuples D are closed under coordinatewise products, and
+    (c) B_d <= B_p, that is c_d - c_p in L_p and L_d <= L_p, whenever p <= d
+        in D.
+
+    Proof that (b) and (c) say that R is a coset, R x R^-1 x R <= R (its
+    members are regular, as every element of NF is).  A member over d is
+    (d, v) with v in B_d (L_d holds the xi lattices, so reducing v does not
+    matter), with inverse (d, -v).  Necessity: for x over d and y over e,
+    x*y^-1*y = (d*e, v_x) lies in R, so d*e is in D, and every v_x in B_d
+    lies in B_(d*e), where d*e runs over all p <= d in D as e does.
+    Sufficiency: for x, y, z over d, e, f, the product p = d*e*f is in D by
+    (b) and lies below d, e and f, so by (c) v_x - v_y + v_z = c_p + (c_d -
+    c_p) - (c_e - c_p) + (c_f - c_p) + (l_x - l_y + l_z) lies in c_p + L_p,
+    and x*y^-1*z lies in B_p.  Only (a) is a rule of the format rather than
+    of cosets: a union of cosets over one d-tuple may be a coset, but it is
+    written as one block.
+
+    The checks run over generators G of D picked in block order, each d
+    not yet a product of earlier ones; their product closure S grows by
+    S*g and g, and D is closed exactly when S = D.  Then (c) is tested on
+    the pairs (d, d*g) for g in G alone, at most |D|*|G| containments: for
+    p <= d in D, p = g_1*...*g_k, and the chain d >= d*g_1 >= ... >= d*p = p
+    stays in D, so containment along each step gives B_d <= B_p.
+    """
     if arity < 1:
         raise ValidationError("arity must be at least 1")
     q = NF.num_coords
-    out = []
+    N = NF.semilattice
+    cosets = {}
     for d_tuple, offset, generators in blocks:
         d_tuple = tuple(d_tuple)
         if len(d_tuple) != arity:
             raise ArityMismatch(f"d-tuple {d_tuple} does not have arity {arity}")
-        if any(not 0 <= d < NF.semilattice.size for d in d_tuple):
+        if any(not 0 <= d < N.size for d in d_tuple):
             raise ValidationError(f"d-tuple {d_tuple} is not over the semilattice")
         offset = list(offset)
         if len(offset) != arity * q:
@@ -216,8 +245,24 @@ def make_nf_template(NF, arity, blocks):
                 if not supported(NF.lam[d], vec[i * q:(i + 1) * q]):
                     raise ValidationError(
                         f"block vector not supported on lam({d}) in slot {i}")
-        out.append(_saturate_block(NF, arity, d_tuple, offset, generators))
-    return Template(NF, arity, BlockRelation(tuple(out)))
+        coset = _saturate_block(NF, arity, d_tuple, offset, generators)
+        if cosets.setdefault(d_tuple, coset) != coset:
+            raise NotACoset(f"two different blocks for d-tuple {d_tuple}")
+    closure, gens = set(), []
+    for d in cosets:
+        if d not in closure:
+            gens.append(d)
+            closure |= {tuple(map(N.mul, s, d)) for s in closure} | {d}
+    if closure != cosets.keys():
+        raise NotACoset(f"the product {min(closure - cosets.keys())} of "
+                        "d-tuples has no block")
+    for d, C in cosets.items():
+        for p in sorted({tuple(map(N.mul, d, g)) for g in gens} - {d}):
+            P = cosets[p]
+            if not (coset_member(C.offset, P) and all(
+                    lattice_member(row, P.lattice) for row in C.lattice.basis)):
+                raise NotACoset(f"the block at {d} does not lie in the block at {p}")
+    return Template(NF, arity, BlockRelation(cosets))
 
 
 # ---------------------------------------------------------------------------

@@ -100,30 +100,20 @@ def congruence_closure(M, pairs):
     return [find(a) for a in M.elements]
 
 
-def abelianization(M):
-    """Quotient by the smallest congruence identifying ab with ba."""
-    pairs = [(M.mul(a, b), M.mul(b, a)) for a in M.elements for b in M.elements
-             if M.mul(a, b) != M.mul(b, a)]
-    return _quotient_from_roots(M, congruence_closure(M, pairs))
-
-
-def regular_retract(M):
-    """Quotient of a commutative monoid by a ~ a*d_a; image is the regular
-    part, projection is the dagger retraction."""
-    if not is_commutative(M):
-        raise NotCommutative("regular_retract needs a commutative monoid")
-    root_of = [M.mul(a, d_of(M, a)) for a in M.elements]
-    return _quotient_from_roots(M, root_of)
-
-
 def ab_reg(M):
-    """The commutative regularization, computed as the regular retract of the
-    abelianization."""
-    q1 = abelianization(M)
-    q2 = regular_retract(q1.quotient)
-    class_of = tuple(q2.class_of[q1.class_of[a]] for a in M.elements)
-    projection = q2.projection.compose(q1.projection)
-    return CongruenceQuotient(M, class_of, q2.quotient, projection)
+    """The commutative regularization: the quotient of M by the congruence
+    theta generated by the pairs (ab, ba) and (a, a*d_a).
+
+    M/theta is commutative and completely regular: each class [a] equals
+    [a]*[d_a] with [d_a] = [a]^k idempotent, so [a] = [a]^(k+1) lies in a
+    group.  A hom f from M into a commutative completely regular T kills
+    both kinds of pair: f(ab) = f(a)f(b) = f(b)f(a) = f(ba), and f(d_a) = f(a)^k is the
+    idempotent of the group that holds f(a), so f(a)f(d_a) = f(a).  So f
+    factors, uniquely as the projection is onto, through M/theta, which is
+    the universal property."""
+    pairs = [(M.mul(a, b), M.mul(b, a)) for a in M.elements for b in M.elements]
+    pairs += [(a, M.mul(a, d_of(M, a))) for a in M.elements]
+    return _quotient_from_roots(M, congruence_closure(M, pairs))
 
 
 def verify_universal_property(q, targets):

@@ -140,9 +140,9 @@ def build_sigma(T, I, h):
     finite carrier every d = 0 congruence gives one, as block and xi
     lattices have full rank on their support.
 
-    Every relation constraint's d-tuple under h names a block: h is returned
-    only after check_assignment(TI, I, h), and the relation of TI is exactly
-    the blocks' d-tuples.
+    Every relation constraint's d-tuple under h names a block, read from
+    ``T.relation.cosets``: h is returned only after check_assignment(TI, I,
+    h), and the relation of TI is exactly the blocks' d-tuples.
 
     The rows of a constraint depend only on its kind, its d-tuple under h
     and which of its variables repeat, so they are found once per such
@@ -156,7 +156,6 @@ def build_sigma(T, I, h):
     base = I.var_count * q
     matrix, rhs = [], []
     multipliers = 0
-    blocks = {b.d_tuple: b.coset for b in T.relation}
     patterns = {}
 
     def pattern(kind, ds, slots):
@@ -166,7 +165,7 @@ def build_sigma(T, I, h):
             lattice, offset = NF.xi[ds[2]], ()
             starts = (0, 0, 0)
         else:
-            coset = blocks[ds]
+            coset = T.relation.cosets[ds]
             lattice, offset = coset.lattice, coset.offset
             starts = [i * q for i in range(len(ds))]
         signs = (1, 1, -1) if kind is Product else (1,) * len(ds)
@@ -202,14 +201,12 @@ def build_sigma(T, I, h):
 
 
 def projected_semilattice_template(T):
-    """The idempotent projection of a coset-relation NF template, validated
-    as a coset on the semilattice level."""
-    NF = T.carrier
-    d_tuples = frozenset(b.d_tuple for b in T.relation)
-    power = CartesianPower(NF.semilattice, T.arity)
-    if not is_coset(power, d_tuples):
-        raise NotACoset("projected relation fails the coset equation")
-    return Template(NF.semilattice, T.arity, d_tuples)
+    """The idempotent projection TI of an NF template: its semilattice, with
+    the blocks' d-tuples as relation.  :func:`model.make_nf_template` built
+    T only if its relation is a coset, so these d-tuples are closed under
+    products, and :func:`minimal_homomorphism` finds the least hom into TI.
+    """
+    return Template(T.carrier.semilattice, T.arity, frozenset(T.relation.cosets))
 
 
 def solve_tractable(T, I):

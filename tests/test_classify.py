@@ -42,7 +42,7 @@ from monoidpcsp.regularize import (
     nf_homs_to_finite,
     to_normal_form,
 )
-from monoidpcsp.solver import finite_template_to_nf, projected_semilattice_template
+from monoidpcsp.solver import finite_template_to_nf
 from monoidpcsp.sweep import commutative_regular_sweep, monoid_sweep
 from conftest import intro_nf_template, nonconstant_triples
 
@@ -331,8 +331,6 @@ def eager_classify(relM, relN):
     tried as a witness with its full relation image, the first that passes
     taken."""
     nf = is_nf_template(relM)
-    if nf:
-        projected_semilattice_template(relM)
     preserving = relation_preserving_homs(relM, relN)
     if not preserving and not nf:
         raise PromiseViolation("no relational homomorphism between the templates")

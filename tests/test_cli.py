@@ -110,6 +110,27 @@ def _solve_nf(text):
             {"bad.nf": text})
 
 
+# normal-form relations that are not cosets: two blocks over one d-tuple
+# (x0 = 0 lies in the first), and a block over the top d-tuple that the
+# block below it does not contain (x0 = x1 = [0, (0)] satisfies MUL 0 0 1)
+TWO_BLOCKS_NF = ("integers\nrel 1\nblock 1\nd 0\noffset 0\ngen 3\n"
+                 "block 1\nd 0\noffset 1\ngen 3\n")
+LOWER_BLOCK_NF = ("nf\nsemilattice 2 0\n0 1\n1 1\ncoords 1\nlambda 0 0\n"
+                  "lambda 1 0\nanchor 0 0\nrel 1\nblock 1\nd 0\noffset 0\n"
+                  "gen 2\nblock 1\nd 1\noffset 1\ngen 2\n")
+
+
+def _solve_and_classify(name, template, instance):
+    """Solve the instance over the template file, and classify the template
+    against a finite arity-1 one."""
+    return {
+        f"{name}-solve": (["solve", "--template", "t.nf", "--instance", "i.inst"],
+                          {"t.nf": template, "i.inst": instance}),
+        f"{name}-classify": (["classify", "--lhs", "t.nf", "--rhs", "c2.mon"],
+                             {"t.nf": template, "c2.mon": "cyclic:2\nrel 1\ntuple 0\n"}),
+    }
+
+
 def _pmc_reduce(rhs, cond):
     return (["pmc-reduce", "--lhs", data("introN_3.mon"), "--rhs", data(rhs),
              "--arity", "1", "--instance", "cond.mc"], {"cond.mc": cond})
@@ -143,13 +164,17 @@ BAD_INPUTS = {
                         {"cut.mon": "monoid 2 0\n0 1\n"}),
     "mc-sym-arity": _pmc_reduce("introN_3.mon", "sym f x U\n"),
     "mc-edge-map": _pmc_reduce("introN_3.mon", UNARY_MC.replace("0\n", "a b\n")),
+    **_solve_and_classify("nf-two-blocks", TWO_BLOCKS_NF, "instance 1\nID 0\nREL 0\n"),
+    **_solve_and_classify("nf-lower-block", LOWER_BLOCK_NF,
+                          "instance 2\nREL 0\nREL 1\nMUL 0 0 1\n"),
+    **_solve_and_classify("not-utf8", b"\xff\xfe", "instance 0\n"),
 }
 
 
 def _write(argv, files, tmp_path):
     """argv with the names of files replaced by their written paths."""
     for fname, text in files.items():
-        (tmp_path / fname).write_text(text)
+        (tmp_path / fname).write_bytes(text if isinstance(text, bytes) else text.encode())
     return [str(tmp_path / a) if a in files else a for a in argv]
 
 

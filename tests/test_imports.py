@@ -61,18 +61,30 @@ def names_in(source):
     return names
 
 
+def modules_naming(name):
+    """The source files of the package in which the identifier occurs."""
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                if name in names_in(fh.read()):
+                    found.append(fname)
+    return found
+
+
 def test_only_core_names_is_hom_map():
     """enumerate_homs is the one hom search: outside core, where make_hom
     checks a given map, no module tests candidate maps with is_hom_map."""
     assert "is_hom_map" in names_in("from .core import is_hom_map as h\n")
     assert "is_hom_map" in names_in("core.is_hom_map(M, N, t)\n")
-    found = []
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-                if "is_hom_map" in names_in(fh.read()):
-                    found.append(fname)
-    assert found == ["core.py"]
+    assert modules_naming("is_hom_map") == ["core.py"]
+
+
+def test_only_model_names_block_relation():
+    """make_nf_template is the one home of the rule that a normal-form
+    relation is a coset: no module outside model builds a BlockRelation
+    around it."""
+    assert modules_naming("BlockRelation") == ["model.py"]
 
 
 def int_reads_outside(source, function):

@@ -4,10 +4,12 @@ from itertools import product
 import pytest
 
 from monoidpcsp.classify import classify, classify_via_abreg
-from monoidpcsp.core import cyclic, semilattice_chain
+from monoidpcsp.core import CartesianPower, cyclic, semilattice_chain
+from monoidpcsp.cosets import coset_closure, is_coset
 from monoidpcsp.errors import (
     ArityMismatch,
     BudgetExceeded,
+    NotACoset,
     ParseError,
     TooLarge,
     ValidationError,
@@ -21,6 +23,7 @@ from monoidpcsp.model import (
     is_nf_template,
     make_finite_template,
     make_instance,
+    make_nf_template,
     oracle_solve,
     parse_carrier,
     parse_instance,
@@ -35,7 +38,9 @@ from monoidpcsp.polymorph import (
     parse_minor_condition,
     pmc_reduce,
 )
-from monoidpcsp.regularize import nf_element
+from monoidpcsp.regularize import nf_element, to_normal_form
+from monoidpcsp.solver import finite_template_to_nf
+from monoidpcsp.sweep import commutative_regular_sweep
 from conftest import intro_instance, intro_nf_template, nonconstant_triples
 
 
@@ -261,3 +266,53 @@ def test_parsers_reject_malformed_lines(parse, text, line, bad):
     parse(text)
     with pytest.raises(ParseError):
         parse(text.replace(line, bad, 1))
+
+
+def test_make_nf_template_refuses_exactly_the_non_cosets():
+    """The coset rule of make_nf_template against cosets.is_coset.  Seeded
+    random relations of arity 1 and 2 over the commutative regular monoids
+    of size at most 5 have each d-tuple group closed to a coset, so the
+    blocks, built as finite_template_to_nf builds them, are exactly the
+    relation, and it is a coset exactly when the union of its groups is."""
+    rng = random.Random(35)
+    verdicts = {True: 0, False: 0}
+    for M in commutative_regular_sweep(5, unique=True):
+        iso = to_normal_form(M)
+        for arity in (1, 2):
+            power = CartesianPower(M, arity)
+            tuples = list(product(M.elements, repeat=arity))
+            for _ in range(60):
+                groups = {}
+                for t in rng.sample(tuples, rng.randint(1, min(4, len(tuples)))):
+                    groups.setdefault(tuple(iso.encode(a).d for a in t), []).append(t)
+                rel = frozenset().union(*(coset_closure(power, g).members
+                                          for g in groups.values()))
+                vecs = {}
+                for t in sorted(rel):
+                    enc = [iso.encode(a) for a in t]
+                    vecs.setdefault(tuple(x.d for x in enc), []).append(
+                        [a for x in enc for a in x.v])
+                blocks = [(d_tuple, vs[0], [[a - b for a, b in zip(v, vs[0])]
+                                            for v in vs[1:]])
+                          for d_tuple, vs in sorted(vecs.items())]
+                coset = is_coset(power, rel)
+                try:
+                    make_nf_template(iso.nf, arity, blocks)
+                    refused = False
+                except NotACoset:
+                    refused = True
+                assert refused != coset, (M.table, sorted(rel))
+                verdicts[coset] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 200, verdicts
+
+
+def test_the_coset_rule_tests_containment_over_generators(deadline):
+    """The full ternary relation over the 8-element chain has 512 blocks,
+    one per d-tuple.  Its d-tuples are generated by 22 of them, so the
+    containments the rule tests are at most 512 * 22, not the 262 144
+    pairs of blocks."""
+    M = semilattice_chain(8)
+    T = make_finite_template(M, 3, product(M.elements, repeat=3))
+    with deadline(2):
+        TN, _ = finite_template_to_nf(T)
+    assert len(TN.relation.cosets) == 512

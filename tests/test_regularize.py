@@ -34,7 +34,6 @@ from monoidpcsp.model import parse_template
 from monoidpcsp.regularize import (
     NFIsomorphism,
     ab_reg,
-    abelianization,
     congruence_closure,
     covering_pairs,
     integers_nf,
@@ -43,7 +42,6 @@ from monoidpcsp.regularize import (
     nf_generator,
     nf_homs_to_finite,
     nf_power,
-    regular_retract,
     semilattice_leq,
     to_normal_form,
     verify_universal_property,
@@ -105,19 +103,26 @@ def test_congruence_closure_matches_the_fixpoint():
             assert congruence_closure(M, pairs) == fixpoint(M, pairs), M.table
 
 
-def test_abelianization_is_commutative_quotient():
-    q = abelianization(flipflop1())
+def test_ab_reg_is_commutative_quotient():
+    q = ab_reg(flipflop1())
     assert is_commutative(q.quotient)
     assert is_hom_map(q.source, q.quotient, q.projection.images)
 
 
-def test_abelianization_of_commutative_is_identity():
-    q = abelianization(cyclic(5))
-    assert q.quotient.size == 5
+def test_ab_reg_of_commutative_is_the_regular_retract():
+    """On a commutative monoid the pairs (ab, ba) merge nothing, and the
+    classes are those of a -> a*d_a."""
+    for M in (cyclic(5), null_extension(), monogenic(2, 1),
+              direct_product(cyclic(2), null_extension())):
+        retract = [M.mul(a, d_of(M, a)) for a in M.elements]
+        q = ab_reg(M)
+        for a in M.elements:
+            for b in M.elements:
+                assert (q.class_of[a] == q.class_of[b]) == (retract[a] == retract[b])
 
 
-def test_regular_retract_image_is_regular():
-    q = regular_retract(null_extension())
+def test_ab_reg_image_of_null_extension_is_regular():
+    q = ab_reg(null_extension())
     assert is_completely_regular(q.quotient)
     assert q.quotient.size == 2
 

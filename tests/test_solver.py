@@ -205,6 +205,8 @@ def test_empty_instance_is_satisfiable():
 
 
 def test_projected_template_rejects_non_coset():
+    """Blocks whose d-tuples, the projected relation, are not closed under
+    products are refused where the template is built."""
     N = direct_product(semilattice_chain(2), semilattice_chain(2))
     atoms = sorted(a for a in N.elements
                    if a != N.identity
@@ -214,9 +216,8 @@ def test_projected_template_rejects_non_coset():
     NF = iso.nf
     q = NF.num_coords
     blocks = [((iso.encode(a).d,), list(iso.encode(a).v), []) for a in atoms]
-    T = make_nf_template(NF, 1, blocks)
     with pytest.raises(NotACoset):
-        projected_semilattice_template(T)
+        make_nf_template(NF, 1, blocks)
 
 
 def seeded_instances(rng, count, max_vars, arity):
@@ -334,7 +335,7 @@ def test_relation_d_tuples_under_the_least_hom_name_blocks():
             cases.append((TN, seeded_instances(rng, 20, 4, arity)))
     checked = {False: 0, True: 0}    # by whether the semilattice is trivial
     for T, instances in cases:
-        blocks = {b.d_tuple for b in T.relation}
+        blocks = T.relation.cosets
         for I in instances:
             h = minimal_homomorphism(projected_semilattice_template(T), I)
             if h is None:
@@ -355,7 +356,7 @@ def generator_sigma(T, I, h):
     NF = T.carrier
     q = NF.num_coords
     rows, cols = [], I.var_count * q
-    blocks = {b.d_tuple: b.coset for b in T.relation}
+    blocks = T.relation.cosets
     for x in range(I.var_count):
         rows += [({x * q + a: 1}, 0) for a in range(q) if a not in NF.lam[h[x]]]
     for c in I.constraints:
@@ -483,7 +484,7 @@ def per_constraint_sigma(T, I, h):
     q = NF.num_coords
     base = I.var_count * q
     rows, multipliers = [], 0
-    blocks = {b.d_tuple: b.coset for b in T.relation}
+    blocks = T.relation.cosets
 
     def add(coeffs, r):
         row = tuple(sorted((j, a) for j, a in coeffs.items() if a))
